@@ -126,13 +126,20 @@ void BM_FiberCreateDestroy(benchmark::State& state) {
 }
 BENCHMARK(BM_FiberCreateDestroy);
 
-void BM_PingpongEndToEnd(benchmark::State& state) {
-  // Whole-stack host cost: one 64 B pingpong iteration (two nodes, fine
-  // locking, busy waiting).
+/// Whole-stack host cost: 64 iterations of a 64 B pingpong (two nodes, fine
+/// locking, busy waiting) per benchmark iteration. @p prepare configures
+/// each world before its threads start. Besides throughput, reports the
+/// engine events and run-ahead charges per one-way message (a round trip
+/// is two messages): the deterministic work behind the wall-clock figure.
+template <class Prepare>
+void pingpong_end_to_end(benchmark::State& state, const nm::ClusterConfig& cfg,
+                         Prepare prepare) {
   const std::size_t kIters = 64;
+  std::uint64_t events = 0;
+  std::uint64_t run_aheads = 0;
   for (auto _ : state) {
-    nm::ClusterConfig cfg;
     nm::Cluster world(cfg);
+    prepare(world);
     world.spawn(0, [&world] {
       auto& c = world.core(0);
       auto* g = world.gate(0, 1);
@@ -152,43 +159,29 @@ void BM_PingpongEndToEnd(benchmark::State& state) {
       }
     });
     world.run();
+    events += world.engine().events_executed();
+    run_aheads += world.engine().run_aheads();
   }
   state.SetItemsProcessed(state.iterations() * kIters);
+  const double msgs = 2.0 * static_cast<double>(kIters) *
+                      static_cast<double>(state.iterations());
+  state.counters["events_per_msg"] = static_cast<double>(events) / msgs;
+  state.counters["run_aheads_per_msg"] = static_cast<double>(run_aheads) / msgs;
+}
+
+void BM_PingpongEndToEnd(benchmark::State& state) {
+  pingpong_end_to_end(state, nm::ClusterConfig{}, [](nm::Cluster&) {});
 }
 BENCHMARK(BM_PingpongEndToEnd)->Unit(benchmark::kMillisecond);
 
 void BM_PingpongEndToEndMetrics(benchmark::State& state) {
-  // Same workload as BM_PingpongEndToEnd with the metrics registry enabled:
-  // the spread between the two is the hot-path cost of instrumentation
-  // (ctest `metrics_overhead` asserts it stays under 3%).
-  const std::size_t kIters = 64;
+  // Same workload with the metrics registry enabled: the spread between
+  // the two is the hot-path cost of instrumentation (ctest
+  // `metrics_overhead` asserts it stays under 3%).
   auto& reg = obs::MetricsRegistry::global();
   reg.set_enabled(true);
-  for (auto _ : state) {
-    nm::ClusterConfig cfg;
-    nm::Cluster world(cfg);
-    world.spawn(0, [&world] {
-      auto& c = world.core(0);
-      auto* g = world.gate(0, 1);
-      std::vector<std::uint8_t> m(64), b(64);
-      for (std::size_t i = 0; i < kIters; ++i) {
-        c.send(g, 1, m.data(), m.size());
-        c.recv(g, 2, b.data(), b.size());
-      }
-    });
-    world.spawn(1, [&world] {
-      auto& c = world.core(1);
-      auto* g = world.gate(1, 0);
-      std::vector<std::uint8_t> b(64);
-      for (std::size_t i = 0; i < kIters; ++i) {
-        c.recv(g, 1, b.data(), b.size());
-        c.send(g, 2, b.data(), b.size());
-      }
-    });
-    world.run();
-  }
+  pingpong_end_to_end(state, nm::ClusterConfig{}, [](nm::Cluster&) {});
   reg.set_enabled(false);
-  state.SetItemsProcessed(state.iterations() * kIters);
 }
 BENCHMARK(BM_PingpongEndToEndMetrics)->Unit(benchmark::kMillisecond);
 
@@ -196,32 +189,8 @@ void BM_PingpongEndToEndSimsan(benchmark::State& state) {
   // Same workload with the concurrency analyzer on: the spread against
   // BM_PingpongEndToEnd is the cost of the lockset/vector-clock analysis
   // (ctest `simsan_overhead` asserts it stays under 10%).
-  const std::size_t kIters = 64;
-  for (auto _ : state) {
-    nm::ClusterConfig cfg;
-    nm::Cluster world(cfg);
-    world.enable_simsan();
-    world.spawn(0, [&world] {
-      auto& c = world.core(0);
-      auto* g = world.gate(0, 1);
-      std::vector<std::uint8_t> m(64), b(64);
-      for (std::size_t i = 0; i < kIters; ++i) {
-        c.send(g, 1, m.data(), m.size());
-        c.recv(g, 2, b.data(), b.size());
-      }
-    });
-    world.spawn(1, [&world] {
-      auto& c = world.core(1);
-      auto* g = world.gate(1, 0);
-      std::vector<std::uint8_t> b(64);
-      for (std::size_t i = 0; i < kIters; ++i) {
-        c.recv(g, 1, b.data(), b.size());
-        c.send(g, 2, b.data(), b.size());
-      }
-    });
-    world.run();
-  }
-  state.SetItemsProcessed(state.iterations() * kIters);
+  pingpong_end_to_end(state, nm::ClusterConfig{},
+                      [](nm::Cluster& world) { world.enable_simsan(); });
 }
 BENCHMARK(BM_PingpongEndToEndSimsan)->Unit(benchmark::kMillisecond);
 
@@ -232,34 +201,12 @@ void pingpong_traced_body(benchmark::State& state, bool legacy) {
   // mutexed direct-JSON fallback. The spread between the two variants is
   // the hot-path win of the ring sink; ctest `trace_overhead` asserts the
   // ring variant stays within 3% of BM_PingpongEndToEnd.
-  const std::size_t kIters = 64;
-  for (auto _ : state) {
-    nm::ClusterConfig cfg;
-    cfg.legacy_trace = legacy;
-    nm::Cluster world(cfg);
+  nm::ClusterConfig cfg;
+  cfg.legacy_trace = legacy;
+  pingpong_end_to_end(state, cfg, [](nm::Cluster& world) {
     world.enable_timeline();
     world.enable_flow_trace();
-    world.spawn(0, [&world] {
-      auto& c = world.core(0);
-      auto* g = world.gate(0, 1);
-      std::vector<std::uint8_t> m(64), b(64);
-      for (std::size_t i = 0; i < kIters; ++i) {
-        c.send(g, 1, m.data(), m.size());
-        c.recv(g, 2, b.data(), b.size());
-      }
-    });
-    world.spawn(1, [&world] {
-      auto& c = world.core(1);
-      auto* g = world.gate(1, 0);
-      std::vector<std::uint8_t> b(64);
-      for (std::size_t i = 0; i < kIters; ++i) {
-        c.recv(g, 1, b.data(), b.size());
-        c.send(g, 2, b.data(), b.size());
-      }
-    });
-    world.run();
-  }
-  state.SetItemsProcessed(state.iterations() * kIters);
+  });
 }
 
 void BM_PingpongEndToEndTraced(benchmark::State& state) {

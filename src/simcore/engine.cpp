@@ -97,14 +97,30 @@ bool Engine::step_partition(Partition& p) {
 }
 
 bool Engine::step() {
+  // No RunAheadScope: step() executes exactly one event, so charges inside
+  // it always go through the heap.
   assert(num_partitions() == 1 && "step() is single-partition only");
   return step_partition(part(0));
+}
+
+bool Engine::try_advance(Time when) {
+  Partition& p = part(active_partition());
+  if (when > p.run_limit || p.window_abort || stopped() ||
+      when >= p.queue.next_time()) {
+    return false;
+  }
+  assert(when >= p.now && "run-ahead went backwards");
+  p.now = when;
+  ++p.run_aheads;
+  return true;
 }
 
 void Engine::run() {
   stopped_.store(false, std::memory_order_relaxed);
   if (num_partitions() == 1) {
-    while (!stopped() && step_partition(part(0))) {
+    Partition& p = part(0);
+    RunAheadScope run_ahead(p, kTimeInfinity);
+    while (!stopped() && step_partition(p)) {
     }
     return;
   }
@@ -126,6 +142,7 @@ void Engine::run_until(Time deadline) {
   stopped_.store(false, std::memory_order_relaxed);
   if (num_partitions() == 1) {
     Partition& p = part(0);
+    RunAheadScope run_ahead(p, deadline);
     while (!stopped() && p.queue.next_time() <= deadline &&
            step_partition(p)) {
     }
@@ -153,6 +170,12 @@ std::size_t Engine::pending_events() const {
 std::uint64_t Engine::events_executed() const {
   std::uint64_t n = 0;
   for (auto& p : parts_) n += p->executed;
+  return n;
+}
+
+std::uint64_t Engine::run_aheads() const {
+  std::uint64_t n = 0;
+  for (auto& p : parts_) n += p->run_aheads;
   return n;
 }
 
@@ -205,10 +228,13 @@ void Engine::run_window(int idx, Time tmin, Time horizon, Time deadline) {
   p.window_abort = false;
   const int prev = tls_partition;
   tls_partition = idx;
-  while (!p.window_abort) {
-    const Time next = p.queue.next_time();
-    if (next >= horizon || next > deadline) break;
-    step_partition(p);
+  {
+    RunAheadScope run_ahead(p, std::min(horizon - 1, deadline));
+    while (!p.window_abort) {
+      const Time next = p.queue.next_time();
+      if (next >= horizon || next > deadline) break;
+      step_partition(p);
+    }
   }
   tls_partition = prev;
 }

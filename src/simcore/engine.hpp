@@ -150,6 +150,20 @@ class Engine {
   /// True if stop() was called during the current/last run.
   bool stopped() const { return stopped_.load(std::memory_order_relaxed); }
 
+  /// Run-ahead: advance the calling partition's clock straight to @p when
+  /// if an event scheduled there now would be the very next one to fire.
+  /// Returns false (and changes nothing) unless all of these hold:
+  ///  * @p when is strictly below the partition's next pending event (an
+  ///    event at an equal time was scheduled earlier and fires first);
+  ///  * a run()/run_until()/window is executing and @p when is within its
+  ///    limit -- the run_until deadline (inclusive) or the window horizon
+  ///    (exclusive); step() never runs ahead;
+  ///  * stop() has not been requested and the window was not aborted.
+  /// On true the caller continues as if its wake-up event had just been
+  /// popped: the schedule is identical to scheduling and suspending, minus
+  /// the event round trip.
+  bool try_advance(Time when);
+
   // --- introspection --------------------------------------------------------
 
   /// Number of live pending events (all partitions; excludes undelivered
@@ -158,6 +172,10 @@ class Engine {
 
   /// Total events executed since construction (all partitions).
   std::uint64_t events_executed() const;
+
+  /// Successful try_advance() calls since construction (all partitions):
+  /// each stands for one event the engine did not have to execute.
+  std::uint64_t run_aheads() const;
 
   /// Events executed by one partition (load-balance diagnostics).
   std::uint64_t partition_events_executed(int p) const {
@@ -188,6 +206,9 @@ class Engine {
     EventQueue::Callback cb;
   };
 
+  /// run_limit outside run()/run_until()/a window: no time qualifies.
+  static constexpr Time kNoRunAhead = -1;
+
   /// One shard of the world: event heap + clock + counters. Padded so two
   /// workers' hot partitions never share a cache line.
   struct alignas(64) Partition {
@@ -199,7 +220,21 @@ class Engine {
     std::uint64_t overflows = 0;
     Time window_floor = 0;         ///< T_min of the window being executed
     bool window_abort = false;     ///< backpressure: end this window early
+    Time run_limit = kNoRunAhead;  ///< latest time try_advance may reach
+    std::uint64_t run_aheads = 0;
     std::vector<CrossEvent> inbox_scratch;  ///< drain-time merge buffer
+  };
+
+  /// Arms run-ahead on one partition for the duration of a run.
+  class RunAheadScope {
+   public:
+    RunAheadScope(Partition& p, Time limit) : p_(p) { p_.run_limit = limit; }
+    ~RunAheadScope() { p_.run_limit = kNoRunAhead; }
+    RunAheadScope(const RunAheadScope&) = delete;
+    RunAheadScope& operator=(const RunAheadScope&) = delete;
+
+   private:
+    Partition& p_;
   };
 
   int active_partition() const {

@@ -460,6 +460,8 @@ void Scheduler::charge_current(sim::Time dt) {
   Core& c = cores_[static_cast<std::size_t>(t->core_)];
   c.busy_time += dt;
   t->cpu_time_ += dt;
+  // The wake-up would be the next event anyway: keep running at now + dt.
+  if (engine().try_advance(engine().now() + dt)) return;
   const int core = t->core_;
   engine().schedule_after(dt, [this, core, t] { resume_fiber(core, t); });
   t->suspend_reason_ = SuspendReason::kCharge;

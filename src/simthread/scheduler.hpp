@@ -89,7 +89,9 @@ class Scheduler {
   void work(sim::Time t);
 
   /// Consume CPU time without preemption or tick processing (lock costs and
-  /// other short critical-path charges).
+  /// other short critical-path charges). The thread keeps its core; it
+  /// suspends until its wake-up event fires, or keeps running when that
+  /// wake-up would be the engine's next event (Engine::try_advance).
   void charge_current(sim::Time t);
 
   void yield();

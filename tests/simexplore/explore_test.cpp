@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "nmad/cluster.hpp"
 #include "simcore/engine.hpp"
@@ -383,8 +386,10 @@ struct TracedPingpong {
 };
 
 TEST(Explore, ReplayedScheduleIsByteIdentical) {
-  const TracedPingpong scenario{testing::TempDir() +
-                               "pm2sim_xpl_replay.trace.bin"};
+  // Per-process name: ctest runs this binary whole (explore_smoke) next to
+  // its discovered cases, and both must not share one trace file.
+  const TracedPingpong scenario{testing::TempDir() + "pm2sim_xpl_replay." +
+                               std::to_string(::getpid()) + ".trace.bin"};
   xpl::ExploreConfig cfg;
   cfg.max_preemptions = 1;
   cfg.budget = 4;
@@ -425,6 +430,7 @@ TEST(Explore, ReplayedScheduleIsByteIdentical) {
   EXPECT_EQ(d1.schedule_hash, d2.schedule_hash);
   EXPECT_EQ(d1_trace, d2_trace);
   EXPECT_NE(d1.schedule_hash, schedule_hashes[0]);
+  std::remove(scenario.path.c_str());
 }
 
 }  // namespace
