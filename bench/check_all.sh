@@ -3,9 +3,11 @@
 # selfcheck, in that order (fastest signal first, most expensive last).
 #
 #   1. regular build + full ctest suite        (./build)
-#   2. golden digests + simsan selfcheck + fig3 analysis check (same tree;
-#      published outputs byte-identical to bench/golden_digests.txt, seeded
-#      racy / deadlocky scenarios caught, kNone must race, kCoarse clean)
+#   2. golden digests + simsan selfcheck + construction-work gate + fig3
+#      analysis check (same tree; published outputs byte-identical to
+#      bench/golden_digests.txt, seeded racy / deadlocky scenarios caught,
+#      no per-instrument string work on a world re-build, kNone must race,
+#      kCoarse clean)
 #   3. clang-tidy lint                          (skips if not installed)
 #   4. ASan/UBSan + TSan suites                 (separate build trees)
 #
@@ -20,11 +22,14 @@ cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j"$(nproc)"
 ctest --test-dir "$build_dir" -j"$(nproc)" --output-on-failure
 
-echo "== [2/4] golden digests + simsan selfcheck + parallel smoke + trace + explore gates =="
+echo "== [2/4] golden digests + simsan selfcheck + construction work + parallel smoke + trace + explore gates =="
 # Every figure/ablation/app output must hash to the committed digests:
 # host-side optimizations may not move a virtual-time byte.
 ctest --test-dir "$build_dir" -R '^golden_digest$' --output-on-failure
 ctest --test-dir "$build_dir" -R simsan_selfcheck --output-on-failure
+# Construction-work gate: a second world build registers nothing new and
+# hashes at most one label string per node (its machine name).
+ctest --test-dir "$build_dir" -R '^construction_work$' --output-on-failure
 "$build_dir"/bench/fig3_locking --iters=5 --warmup=1 --simsan=on > /dev/null
 # Partitioned engine smoke: two partitions on two host workers must run the
 # same bench clean (the byte-identity gate proper is ctest

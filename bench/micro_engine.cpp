@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "nmad/cluster.hpp"
@@ -438,6 +439,62 @@ BENCHMARK(BM_ConcurrentSenders)
     ->ArgsProduct({{1, 8, 16, 64}, {0, 1, 2, 3}})
     ->Unit(benchmark::kMillisecond);
 
+/// Construction-work counters over a benchmark's world builds:
+/// registrations_per_node (registry calls, re-registrations included) and
+/// label_hashes_per_node (strings hashed by metric-label interning; one per
+/// node -- its machine name -- once every label is interned).
+class CtorWork {
+ public:
+  CtorWork()
+      : regs0_(obs::MetricsRegistry::global().registrations()),
+        hashes0_(obs::MetricsRegistry::label_hashes()) {}
+
+  void report(benchmark::State& state, int nodes) const {
+    const double built =
+        static_cast<double>(state.iterations()) * static_cast<double>(nodes);
+    state.counters["registrations_per_node"] =
+        static_cast<double>(obs::MetricsRegistry::global().registrations() -
+                            regs0_) /
+        built;
+    state.counters["label_hashes_per_node"] =
+        static_cast<double>(obs::MetricsRegistry::label_hashes() - hashes0_) /
+        built;
+  }
+
+ private:
+  std::uint64_t regs0_;
+  std::uint64_t hashes0_;
+};
+
+void BM_ClusterCtor(benchmark::State& state) {
+  // World construction alone, in perfbench's bsp_hybrid config shape
+  // (fine locking, passive waits, PIOMan hooks, 4 partitions) at range(0)
+  // nodes: the host cost a sweep pays per world before a message moves.
+  // Teardown runs outside the timed region.
+  const int nodes = static_cast<int>(state.range(0));
+  nm::ClusterConfig cfg;
+  cfg.nodes = nodes;
+  cfg.nm.lock = nm::LockMode::kFine;
+  cfg.nm.wait = nm::WaitMode::kPassive;
+  cfg.nm.progress = nm::ProgressMode::kPiomanHooks;
+  cfg.partitions = 4;
+  { nm::Cluster warm(cfg); }  // intern every label before measuring
+  const CtorWork work;
+  for (auto _ : state) {
+    auto world = std::make_unique<nm::Cluster>(cfg);
+    benchmark::DoNotOptimize(world.get());
+    state.PauseTiming();
+    world.reset();
+    state.ResumeTiming();
+  }
+  work.report(state, nodes);
+}
+BENCHMARK(BM_ClusterCtor)
+    ->Arg(32)
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_WideWorld(benchmark::State& state) {
   // Sparse-fabric scaling: a range(0)-node world where only 8 scattered
   // pairs ever talk. Construction used to wire a full mesh -- nodes^2
@@ -449,6 +506,7 @@ void BM_WideWorld(benchmark::State& state) {
   constexpr int kPairs = 8;
   double links = 0, gates = 0;
   sim::Time makespan = 0;
+  const CtorWork work;
   for (auto _ : state) {
     nm::ClusterConfig cfg;
     cfg.nodes = nodes;
@@ -480,6 +538,7 @@ void BM_WideWorld(benchmark::State& state) {
   state.counters["active_links"] = links;  // 2 * kPairs, not nodes^2
   state.counters["gates"] = gates;
   state.counters["makespan_us"] = static_cast<double>(makespan) / 1e3;
+  work.report(state, nodes);
 }
 BENCHMARK(BM_WideWorld)
     ->Arg(128)

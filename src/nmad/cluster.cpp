@@ -60,9 +60,11 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
                      cfg_.nm.progress == ProgressMode::kPiomanHooks ||
                      cfg_.nm.progress == ProgressMode::kIdleCoreOffload;
 
+  static const obs::LabelId kFabric = obs::MetricsRegistry::name_id("fabric-");
   for (std::size_t r = 0; r < cfg_.rails.size(); ++r) {
     fabrics_.push_back(std::make_unique<net::Fabric>(
-        engine_, "fabric-" + std::to_string(r)));
+        engine_, obs::MetricsRegistry::indexed_name_id(
+                     kFabric, static_cast<std::uint32_t>(r))));
   }
 
   for (int n = 0; n < cfg_.nodes; ++n) {

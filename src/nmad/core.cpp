@@ -62,23 +62,35 @@ Core::Core(mth::Scheduler& sched, Config cfg, std::string name)
     san_wildcard_.set_name(name_ + ".wildcard");
     san_parked_.set_name(name_ + ".rxpark");
   }
+  static const obs::MetricName kSends("nmad", "sends");
+  static const obs::MetricName kRecvs("nmad", "recvs");
+  static const obs::MetricName kPacketsRx("nmad", "packets_rx");
+  static const obs::MetricName kChunksRx("nmad", "chunks_rx");
+  static const obs::MetricName kUnexpected("nmad", "unexpected_chunks");
+  static const obs::MetricName kRdv("nmad", "rdv_handshakes");
+  static const obs::MetricName kPasses("nmad", "progress_passes");
+  static const obs::MetricName kBytesCopied("nmad", "data.bytes_copied");
+  static const obs::MetricName kCopies("nmad", "data.copies");
+  static const obs::MetricName kDeliverCopied("nmad",
+                                              "data.deliver_bytes_copied");
+  static const obs::MetricName kAdoptCopied("nmad", "data.adopt_bytes_copied");
+  static const obs::MetricName kPlaced("nmad", "data.placed_bytes");
+  static const obs::MetricName kCopiesPerMsg("nmad", "data.copies_per_msg");
   auto& reg = obs::MetricsRegistry::global();
-  const std::string& node = sched_.machine().name();
-  stats_.sends = reg.counter({"nmad", node, -1, "sends"});
-  stats_.recvs = reg.counter({"nmad", node, -1, "recvs"});
-  stats_.packets_rx = reg.counter({"nmad", node, -1, "packets_rx"});
-  stats_.chunks_rx = reg.counter({"nmad", node, -1, "chunks_rx"});
-  stats_.unexpected_chunks = reg.counter({"nmad", node, -1, "unexpected_chunks"});
-  stats_.rdv_handshakes = reg.counter({"nmad", node, -1, "rdv_handshakes"});
-  stats_.progress_passes = reg.counter({"nmad", node, -1, "progress_passes"});
-  m_bytes_copied_ = reg.counter({"nmad", node, -1, "data.bytes_copied"});
-  m_copies_ = reg.counter({"nmad", node, -1, "data.copies"});
-  m_deliver_bytes_copied_ =
-      reg.counter({"nmad", node, -1, "data.deliver_bytes_copied"});
-  m_adopt_bytes_copied_ =
-      reg.counter({"nmad", node, -1, "data.adopt_bytes_copied"});
-  m_placed_bytes_ = reg.counter({"nmad", node, -1, "data.placed_bytes"});
-  m_copies_per_msg_ = reg.histogram({"nmad", node, -1, "data.copies_per_msg"});
+  const obs::LabelId node = sched_.machine().metric_node();
+  stats_.sends = reg.counter(kSends.at(node));
+  stats_.recvs = reg.counter(kRecvs.at(node));
+  stats_.packets_rx = reg.counter(kPacketsRx.at(node));
+  stats_.chunks_rx = reg.counter(kChunksRx.at(node));
+  stats_.unexpected_chunks = reg.counter(kUnexpected.at(node));
+  stats_.rdv_handshakes = reg.counter(kRdv.at(node));
+  stats_.progress_passes = reg.counter(kPasses.at(node));
+  m_bytes_copied_ = reg.counter(kBytesCopied.at(node));
+  m_copies_ = reg.counter(kCopies.at(node));
+  m_deliver_bytes_copied_ = reg.counter(kDeliverCopied.at(node));
+  m_adopt_bytes_copied_ = reg.counter(kAdoptCopied.at(node));
+  m_placed_bytes_ = reg.counter(kPlaced.at(node));
+  m_copies_per_msg_ = reg.histogram(kCopiesPerMsg.at(node));
   submit_tasklet_ = std::make_unique<piom::Tasklet>(
       [this](mth::HookContext& hctx) {
         progress_try(hctx, /*submission_only=*/true);
@@ -141,6 +153,8 @@ Gate* Core::connect(int peer_node, std::vector<int> peer_ports) {
     }
     Gate* g = ep->gates_.back().get();
     g->endpoint_ = ep->id_;
+    g->next_send_seq_ = initial_seq_;
+    g->next_match_seq_ = initial_seq_;
     const std::string gate_name = ep->name_ + ".gate" + std::to_string(peer_node);
     g->san_collect_.set_name(gate_name + ".collect");
     g->san_matching_.set_name(gate_name + ".matching");
@@ -383,7 +397,8 @@ Request* Core::launch_send(mth::ExecContext& ctx, Endpoint& ep, Request* req,
   ep.locks_.lock(Domain::kCollect);
   ctx.touch(gate->out_line_);
   SIMSAN_ACCESS(gate->san_collect_);
-  req->msg_seq_ = gate->next_send_seq_++;
+  req->msg_seq_ = gate->next_send_seq_;
+  gate->next_send_seq_ = seq_next(gate->next_send_seq_);
   req->seq_bound_ = true;
   if (flow_ != nullptr) {
     req->flow_id_ = obs::FlowTracer::flow_id(
@@ -506,7 +521,8 @@ bool Core::adopt_unexpected_locked(mth::ExecContext& ctx, Endpoint& ep,
   for (auto it = gate.unexpected_.begin(); it != gate.unexpected_.end();
        ++it) {
     if (tag != kAnyTag && it->tag != tag) continue;
-    if (best == gate.unexpected_.end() || it->msg_seq < best->msg_seq) {
+    if (best == gate.unexpected_.end() ||
+        seq_after(best->msg_seq, it->msg_seq)) {
       best = it;
     }
   }
@@ -1440,7 +1456,8 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       // RTS can physically overtake earlier messages of its own channel;
       // on multi-queue cores matching stays in channel order by stashing
       // such an early RTS until the messages before it have matched.
-      if (match_order_enforced() && h.msg_seq > gate.next_match_seq_) {
+      if (match_order_enforced() &&
+          seq_after(h.msg_seq, gate.next_match_seq_)) {
         Gate::EarlyRts early;
         early.tag = h.tag;
         early.total_len = h.total_len;
@@ -1599,16 +1616,20 @@ void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
 void Core::bump_match_seq_locked(mth::ExecContext& ctx, Endpoint& ep,
                                  Gate& gate, std::uint32_t msg_seq) {
   if (msg_seq == gate.next_match_seq_) {
-    ++gate.next_match_seq_;
-  } else if (msg_seq > gate.next_match_seq_) {
+    gate.next_match_seq_ = seq_next(msg_seq);
+  } else if (seq_after(msg_seq, gate.next_match_seq_)) {
     // Cross-rail slip: a later eager physically arrived first. Adopt the
     // relaxed order rather than stalling the channel -- only RTS chunks
     // (which the packer reorders deliberately) are ever held back.
-    gate.next_match_seq_ = msg_seq + 1;
+    gate.next_match_seq_ = seq_next(msg_seq);
   }
   if (gate.early_rts_.empty()) return;
-  auto it = gate.early_rts_.begin();
-  if (it->first > gate.next_match_seq_) return;
+  // The earliest stashed RTS in send order (numeric key order breaks at
+  // the wrap; the stash holds a handful of entries).
+  auto it = std::min_element(
+      gate.early_rts_.begin(), gate.early_rts_.end(),
+      [](const auto& a, const auto& b) { return seq_after(b.first, a.first); });
+  if (seq_after(it->first, gate.next_match_seq_)) return;
   const Gate::EarlyRts e = it->second;
   const std::uint32_t seq = it->first;
   gate.early_rts_.erase(it);

@@ -94,6 +94,15 @@ class Core final : public piom::PollSource {
   /// sequence numbers restart on reconnect).
   bool release_gate(int peer_node);
 
+  /// Test hook: gates connected from now on number their outgoing
+  /// messages, and expect incoming matches, from @p seq instead of 0 --
+  /// e.g. just below the ChunkHeader::kMaxSeq wrap a long run reaches
+  /// after 2^24 messages on one (endpoint, gate). Set it on both peers
+  /// before they connect.
+  void set_initial_seq_for_testing(std::uint32_t seq) {
+    initial_seq_ = seq & (ChunkHeader::kMaxSeq - 1);
+  }
+
   /// Connected peers per endpoint (lazily-created gates currently live).
   int gate_count() const { return static_cast<int>(eps_[0]->gates_.size()); }
 
@@ -294,6 +303,7 @@ class Core final : public piom::PollSource {
   Config cfg_;
   std::string name_;
   int num_eps_ = 1;
+  std::uint32_t initial_seq_ = 0;  ///< first msg_seq of new gates (tests)
   int home_partition_ = 0;
 
   std::vector<std::unique_ptr<Endpoint>> eps_;

@@ -44,17 +44,44 @@ const char* to_string(StrategyKind k) {
   return "?";
 }
 
+namespace {
+/// Lock-name suffixes, interned once per process.
+struct LockRoles {
+  obs::LabelId global = obs::MetricsRegistry::name_id("-global");
+  obs::LabelId collect = obs::MetricsRegistry::name_id("-collect");
+  obs::LabelId matching = obs::MetricsRegistry::name_id("-matching");
+  obs::LabelId driver = obs::MetricsRegistry::name_id("-driver");
+};
+
+const LockRoles& lock_roles() {
+  static const LockRoles roles;
+  return roles;
+}
+}  // namespace
+
+obs::LabelId LockSet::default_prefix() {
+  static const obs::LabelId nm = obs::MetricsRegistry::name_id("nm");
+  return nm;
+}
+
+// Lock names are derived ids ("<prefix>-global", "<prefix>-driver<i>"):
+// integer lookups once every label is interned.
 LockSet::LockSet(mth::Scheduler& sched, LockMode mode, int num_drivers,
-                 const std::string& prefix)
+                 obs::LabelId prefix)
     : sched_(sched),
       mode_(mode),
-      global_(sched, prefix + "-global"),
-      collect_(sched, prefix + "-collect"),
-      matching_(sched, prefix + "-matching") {
+      global_(sched,
+              obs::MetricsRegistry::name_id(prefix, lock_roles().global)),
+      collect_(sched,
+               obs::MetricsRegistry::name_id(prefix, lock_roles().collect)),
+      matching_(sched,
+                obs::MetricsRegistry::name_id(prefix, lock_roles().matching)) {
   drivers_.reserve(static_cast<std::size_t>(num_drivers));
   for (int i = 0; i < num_drivers; ++i) {
+    const obs::LabelId role = obs::MetricsRegistry::indexed_name_id(
+        lock_roles().driver, static_cast<std::uint32_t>(i));
     drivers_.push_back(std::make_unique<sync::SpinLock>(
-        sched, prefix + "-driver" + std::to_string(i)));
+        sched, obs::MetricsRegistry::name_id(prefix, role)));
   }
 }
 

@@ -31,13 +31,16 @@ enum class Domain : int {
 
 class LockSet {
  public:
-  /// @p prefix names the underlying spinlocks ("<prefix>-global",
-  /// "<prefix>-collect", ...). The default keeps the historical names; a
-  /// core with N > 1 endpoints builds one LockSet per endpoint, suffixing
-  /// the prefix with the endpoint index so lock metrics and simsan reports
-  /// stay distinguishable.
+  /// @p prefix (an interned metrics name id) names the underlying
+  /// spinlocks ("<prefix>-global", "<prefix>-collect", ...). The default
+  /// keeps the historical names; a core with N > 1 endpoints builds one
+  /// LockSet per endpoint, suffixing the prefix with the endpoint index so
+  /// lock metrics and simsan reports stay distinguishable.
   LockSet(mth::Scheduler& sched, LockMode mode, int num_drivers,
-          const std::string& prefix = "nm");
+          obs::LabelId prefix = default_prefix());
+
+  /// "nm", the historical prefix (endpoint 0).
+  static obs::LabelId default_prefix();
 
   LockSet(const LockSet&) = delete;
   LockSet& operator=(const LockSet&) = delete;

@@ -231,7 +231,9 @@ std::optional<ChunkHeader> PacketReader::next(const std::uint8_t** data_out,
 std::uint8_t peek_packet_ep(const net::Payload& payload) {
   // Layout: u16 chunk_count, then the first header: kind (1) + tag (8) +
   // seq word (4, endpoint id in the high byte) + ... -- the ep byte sits at
-  // offset 2 + 1 + 8 + 3 = 14 of the header region.
+  // offset 2 + 1 + 8 + 3 = 14 of the header region. Without a whole first
+  // header of a known kind there is no chunk to steer by.
+  constexpr std::size_t kKindByte = 2;
   constexpr std::size_t kEpByte = 2 + 1 + 8 + 3;
   const std::uint8_t* buf;
   std::size_t len;
@@ -242,7 +244,10 @@ std::uint8_t peek_packet_ep(const net::Payload& payload) {
     buf = payload.header_bytes();
     len = payload.header_len();
   }
-  return len > kEpByte ? buf[kEpByte] : 0;
+  if (len < kKindByte + ChunkHeader::kWireSize) return 0;
+  const bool has_chunk = (buf[0] | buf[1]) != 0;
+  const std::uint8_t kind = buf[kKindByte];
+  return has_chunk && kind >= 1 && kind <= 4 ? buf[kEpByte] : 0;
 }
 
 }  // namespace pm2::nm

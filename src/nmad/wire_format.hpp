@@ -61,14 +61,30 @@ struct ChunkHeader {
   /// Serialized size of a chunk header in bytes.
   static constexpr std::size_t kWireSize = 1 + 8 + 4 + 4 + 4 + 4 + 8;
 
-  /// Number of msg_seq values available per (endpoint, gate) direction.
+  /// Number of msg_seq values available per (endpoint, gate) direction;
+  /// numbering wraps modulo kMaxSeq (see seq_next / seq_after).
   static constexpr std::uint32_t kMaxSeq = 1u << 24;
 };
+
+/// The msg_seq following @p seq, modulo ChunkHeader::kMaxSeq.
+constexpr std::uint32_t seq_next(std::uint32_t seq) {
+  return (seq + 1) & (ChunkHeader::kMaxSeq - 1);
+}
+
+/// Serial-number order of msg_seq values (RFC 1982 over kMaxSeq): true if
+/// @p a was sent after @p b, i.e. (a - b) mod kMaxSeq lies in
+/// (0, kMaxSeq / 2). Exact while fewer than 2^23 messages of one
+/// (endpoint, gate) direction are in flight at once.
+constexpr bool seq_after(std::uint32_t a, std::uint32_t b) {
+  const std::uint32_t d = (a - b) & (ChunkHeader::kMaxSeq - 1);
+  return d != 0 && d < ChunkHeader::kMaxSeq / 2;
+}
 
 /// Endpoint id of the first chunk of a packet payload without full
 /// decoding (the rx demultiplex peek). All chunks of one packet originate
 /// from the same endpoint (packets are arranged per (endpoint, gate)).
-/// Returns 0 on malformed/empty payloads (the reader reports those).
+/// Returns 0 when the payload has no whole first header of a known kind
+/// (the reader reports malformed payloads).
 std::uint8_t peek_packet_ep(const net::Payload& payload);
 
 /// Incrementally builds a packet payload. Chunk data is gathered once into

@@ -14,6 +14,19 @@
 // same slot *zeroed*, so sequentially-constructed worlds (one Cluster per
 // benchmark rep) each start from a clean count without growing the store.
 //
+// Keys are interned integers, not strings. The component, node and name
+// labels are interned once per process into label tables (registration
+// sites keep their ids in function-local statics; a mach::Machine interns
+// its node name once) and packed with the core into one 64-bit key, so a
+// registration is one integer-keyed hash lookup and no string is built or
+// hashed. Derived names ("<lock>.acquisitions", "<rail>.tx_packets",
+// "nm-ep3") are cached by their integer parts the same way. Display
+// strings are rendered only by to_json(), to_table() and the string-taking
+// lookups, which intern their arguments read-only. label_hashes() counts
+// every string an interning call hashes -- the construction-work
+// diagnostic: a steady-state world build hashes one string per node (its
+// machine name) and nothing per instrument.
+//
 // The registry is never consulted for simulation decisions and instruments
 // are host-side only (no virtual-time charges), so enabling it cannot
 // perturb virtual-time results.
@@ -26,6 +39,9 @@
 // the shards, so reports are identical to the unsharded registry. Gauges are
 // not sharded: every in-tree gauge has a single owning component, which
 // lives in exactly one partition.
+//
+// Registration and interning happen on the setup thread (world
+// construction); neither is safe against concurrent registration.
 #pragma once
 
 #include <algorithm>
@@ -33,6 +49,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,8 +57,41 @@
 
 namespace pm2::obs {
 
-/// Identity of one instrument. `node` is the machine name ("node0"); empty
-/// means process-wide. `core` is -1 unless the instrument is core-scoped.
+/// Interned id of one label string: a component, a node (machine name) or
+/// an instrument name, each in its own table. Ids are dense, process-wide
+/// and never recycled, so a function-local static can hold one for the
+/// life of the process.
+using LabelId = std::uint32_t;
+
+/// Node id of process-wide instruments (the empty node label).
+inline constexpr LabelId kProcessWide = 0;
+
+/// Identity of one instrument as interned ids -- what registration takes.
+/// `core` is -1 unless the instrument is core-scoped.
+struct MetricKey {
+  LabelId component = 0;
+  LabelId node = kProcessWide;
+  int core = -1;
+  LabelId name = 0;
+};
+
+/// A (component, instrument name) pair interned on construction. Meant for
+/// function-local statics at registration sites, so steady-state
+/// registration interns nothing.
+struct MetricName {
+  MetricName(std::string_view component, std::string_view name);
+
+  MetricKey at(LabelId node, int core = -1) const {
+    return {component, node, core, name};
+  }
+
+  LabelId component;
+  LabelId name;
+};
+
+/// Identity of one instrument as strings. `node` is the machine name
+/// ("node0"); empty means process-wide. Registering through a MetricSpec
+/// interns its three strings on every call (tests, one-off instruments).
 struct MetricSpec {
   std::string component;
   std::string node;
@@ -72,10 +122,37 @@ class MetricsRegistry {
   /// are zeroed by re-registration and reset_values() like the primary.
   void set_shards(int n);
 
-  /// Register (or re-acquire, zeroing the slot) an instrument.
+  /// Register (or re-acquire, zeroing the slot in every shard) an
+  /// instrument: one integer-keyed lookup, no string work.
+  Counter counter(const MetricKey& key);
+  Gauge gauge(const MetricKey& key);
+  HistogramMetric histogram(const MetricKey& key);
+
+  /// The same, after interning @p spec's strings.
   Counter counter(const MetricSpec& spec);
   Gauge gauge(const MetricSpec& spec);
   HistogramMetric histogram(const MetricSpec& spec);
+
+  // --- interned labels ------------------------------------------------------
+
+  /// Intern a label (one string hash; inserts it if new). Throws
+  /// std::length_error when a table outgrows its field of the packed key.
+  static LabelId component_id(std::string_view s);
+  static LabelId node_id(std::string_view s);
+  static LabelId name_id(std::string_view s);
+  /// The name `name(prefix) + name(suffix)`, cached by the id pair: only the
+  /// first call for a pair builds and interns the string.
+  static LabelId name_id(LabelId prefix, LabelId suffix);
+  /// The name `name(prefix) + decimal(index)`, cached the same way.
+  static LabelId indexed_name_id(LabelId prefix, std::uint32_t index);
+
+  /// The string of an interned name (stable for the process lifetime).
+  static const std::string& name_label(LabelId id);
+
+  /// Construction-work diagnostic (always on): strings hashed by the
+  /// interning calls above, and distinct labels interned so far.
+  static std::uint64_t label_hashes();
+  static std::size_t num_labels();
 
   // --- lookups (tests, reports) -------------------------------------------
 
@@ -96,6 +173,8 @@ class MetricsRegistry {
   std::size_t num_counters() const { return counters_.size(); }
   std::size_t num_gauges() const { return gauges_.size(); }
   std::size_t num_histograms() const { return hists_.size(); }
+  /// Registration calls so far, re-registrations included.
+  std::uint64_t registrations() const { return registrations_; }
 
   /// Zero every value (registrations survive).
   void reset_values();
@@ -162,25 +241,35 @@ class MetricsRegistry {
   std::uint64_t counter_total(std::uint32_t idx) const;
   HistSlot hist_total(std::uint32_t idx) const;
 
-  static std::string key_of(const MetricSpec& spec);
-  static std::string key_of(const std::string& component,
-                            const std::string& node, int core,
-                            const std::string& name);
+  /// Packed 64-bit instrument keys in registration order (slot i's key is
+  /// keys[i]) and the slot of each key.
+  struct KeyIndex {
+    std::vector<std::uint64_t> keys;
+    std::unordered_map<std::uint64_t, std::uint32_t> slots;
+
+    /// Slot of @p key, appended if new (@p added reports which).
+    std::uint32_t find_or_add(std::uint64_t key, bool& added);
+    std::optional<std::uint32_t> find(std::uint64_t key) const;
+  };
+
+  /// Read-only key of a string identity (nullopt if any label is unknown).
+  static std::optional<std::uint64_t> find_key(const std::string& component,
+                                               const std::string& node,
+                                               int core,
+                                               const std::string& name);
 
   bool enabled_ = false;
+  std::uint64_t registrations_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;  ///< partitions 1..n-1
 
   std::vector<std::uint64_t> counters_;
-  std::vector<MetricSpec> counter_specs_;
-  std::unordered_map<std::string, std::uint32_t> counter_keys_;
+  KeyIndex counter_keys_;
 
   std::vector<GaugeSlot> gauges_;
-  std::vector<MetricSpec> gauge_specs_;
-  std::unordered_map<std::string, std::uint32_t> gauge_keys_;
+  KeyIndex gauge_keys_;
 
   std::vector<HistSlot> hists_;
-  std::vector<MetricSpec> hist_specs_;
-  std::unordered_map<std::string, std::uint32_t> hist_keys_;
+  KeyIndex hist_keys_;
 };
 
 inline constexpr std::uint32_t kInvalidMetric = 0xffffffffu;

@@ -52,8 +52,9 @@ void TraceLog::configure(const Options& opts) {
   }
   overflow_ = opts.overflow;
   engine_ = opts.engine;
+  static const MetricName kDropped("obs", "trace.dropped");
   dropped_metric_ =
-      MetricsRegistry::global().counter({"obs", "", -1, "trace.dropped"});
+      MetricsRegistry::global().counter(kDropped.at(kProcessWide));
   for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
   entries_.clear();
   strings_.assign(1, std::string());

@@ -10,13 +10,23 @@ namespace pm2::piom {
 
 PollSource::~PollSource() = default;
 
+namespace {
+obs::LabelId list_lock_kind() {
+  static const obs::LabelId kind = obs::MetricsRegistry::name_id("pioman-list");
+  return kind;
+}
+}  // namespace
+
 Server::Server(mth::Scheduler& sched)
-    : sched_(sched), list_lock_(sched, "pioman-list") {
+    : sched_(sched), list_lock_(sched, list_lock_kind()) {
+  static const obs::MetricName kPasses("pioman", "poll_passes");
+  static const obs::MetricName kSkipped("pioman", "skipped_passes");
+  static const obs::MetricName kInterval("pioman", "poll_interval_ns");
   auto& reg = obs::MetricsRegistry::global();
-  const std::string& node = sched_.machine().name();
-  m_passes_ = reg.counter({"pioman", node, -1, "poll_passes"});
-  m_skipped_passes_ = reg.counter({"pioman", node, -1, "skipped_passes"});
-  m_poll_interval_ns_ = reg.histogram({"pioman", node, -1, "poll_interval_ns"});
+  const obs::LabelId node = sched_.machine().metric_node();
+  m_passes_ = reg.counter(kPasses.at(node));
+  m_skipped_passes_ = reg.counter(kSkipped.at(node));
+  m_poll_interval_ns_ = reg.histogram(kInterval.at(node));
 }
 
 Server::~Server() { remove_hooks(); }

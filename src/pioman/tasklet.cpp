@@ -8,8 +8,9 @@
 namespace pm2::piom {
 
 TaskletEngine::TaskletEngine(mth::Scheduler& sched) : sched_(sched) {
+  static const obs::MetricName kRuns("pioman", "tasklet_runs");
   m_executed_ = obs::MetricsRegistry::global().counter(
-      {"pioman", sched.machine().name(), -1, "tasklet_runs"});
+      kRuns.at(sched.machine().metric_node()));
   queues_.resize(static_cast<std::size_t>(sched.num_cores()));
   auto run = [this](mth::HookContext& hctx) { drain(hctx); };
   auto want = [this](int core) { return pending(core); };

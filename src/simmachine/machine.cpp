@@ -9,6 +9,7 @@ Machine::Machine(sim::Engine& engine, std::string name, CacheTopology topology,
                  CostBook costs)
     : engine_(engine),
       name_(std::move(name)),
+      metric_node_(obs::MetricsRegistry::node_id(name_)),
       topology_(std::move(topology)),
       costs_(costs) {}
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "simcore/engine.hpp"
 #include "simcore/time.hpp"
 #include "simmachine/cost_book.hpp"
@@ -39,6 +40,9 @@ class Machine {
   sim::Engine& engine() { return engine_; }
   const sim::Engine& engine() const { return engine_; }
   const std::string& name() const { return name_; }
+  /// name() interned as a metrics node label, once per machine: the node
+  /// id of every instrument registered for this machine.
+  obs::LabelId metric_node() const { return metric_node_; }
   const CacheTopology& topology() const { return topology_; }
   const CostBook& costs() const { return costs_; }
   int num_cores() const { return topology_.num_cores(); }
@@ -63,6 +67,7 @@ class Machine {
  private:
   sim::Engine& engine_;
   std::string name_;
+  obs::LabelId metric_node_;
   CacheTopology topology_;
   CostBook costs_;
   std::uint64_t line_transfers_ = 0;

@@ -72,11 +72,15 @@ BufferPool& BufferPool::global() {
 }
 
 BufferPool::BufferPool() : free_(kNumBuckets) {
+  static const obs::MetricName kHits("pool", "hits");
+  static const obs::MetricName kMisses("pool", "misses");
+  static const obs::MetricName kReused("pool", "bytes_reused");
+  static const obs::MetricName kAllocated("pool", "bytes_allocated");
   auto& reg = obs::MetricsRegistry::global();
-  m_hits_ = reg.counter({"pool", "", -1, "hits"});
-  m_misses_ = reg.counter({"pool", "", -1, "misses"});
-  m_bytes_reused_ = reg.counter({"pool", "", -1, "bytes_reused"});
-  m_bytes_allocated_ = reg.counter({"pool", "", -1, "bytes_allocated"});
+  m_hits_ = reg.counter(kHits.at(obs::kProcessWide));
+  m_misses_ = reg.counter(kMisses.at(obs::kProcessWide));
+  m_bytes_reused_ = reg.counter(kReused.at(obs::kProcessWide));
+  m_bytes_allocated_ = reg.counter(kAllocated.at(obs::kProcessWide));
 }
 
 BufferPool::~BufferPool() { trim(); }

@@ -34,10 +34,13 @@ sim::Time hook_skew() {
 }
 }  // namespace
 
-Fabric::Fabric(sim::Engine& engine, std::string name)
-    : engine_(engine), name_(std::move(name)) {
+Fabric::Fabric(sim::Engine& engine, obs::LabelId name)
+    : engine_(engine), name_(name) {
   links_.resize(static_cast<std::size_t>(std::max(1, engine.num_partitions())));
 }
+
+Fabric::Fabric(sim::Engine& engine, std::string_view name)
+    : Fabric(engine, obs::MetricsRegistry::name_id(name)) {}
 
 std::size_t Fabric::active_links() const {
   std::size_t n = 0;
@@ -112,16 +115,34 @@ void Fabric::deliver_at(sim::Time earliest, sim::Time occupancy, Packet pkt) {
 Nic::Nic(mach::Machine& machine, Fabric& fabric, NicParams params)
     : machine_(machine), fabric_(fabric), params_(std::move(params)) {
   port_ = fabric.attach(this);
-  auto& reg = obs::MetricsRegistry::global();
-  const std::string& node = machine_.name();
-  const std::string& rail = fabric_.name();
-  m_tx_packets_ = reg.counter({"nic", node, -1, rail + ".tx_packets"});
-  m_tx_bytes_ = reg.counter({"nic", node, -1, rail + ".tx_bytes"});
-  m_rx_packets_ = reg.counter({"nic", node, -1, rail + ".rx_packets"});
-  m_rx_bytes_ = reg.counter({"nic", node, -1, rail + ".rx_bytes"});
-  m_polls_hit_ = reg.counter({"nic", node, -1, rail + ".polls_hit"});
-  m_polls_empty_ = reg.counter({"nic", node, -1, rail + ".polls_empty"});
-  m_rx_queue_depth_ = reg.gauge({"nic", node, -1, rail + ".rx_queue_depth"});
+  using obs::MetricsRegistry;
+  static const obs::LabelId kNic = MetricsRegistry::component_id("nic");
+  static const obs::LabelId kTxPackets =
+      MetricsRegistry::name_id(".tx_packets");
+  static const obs::LabelId kTxBytes = MetricsRegistry::name_id(".tx_bytes");
+  static const obs::LabelId kRxPackets =
+      MetricsRegistry::name_id(".rx_packets");
+  static const obs::LabelId kRxBytes = MetricsRegistry::name_id(".rx_bytes");
+  static const obs::LabelId kPollsHit = MetricsRegistry::name_id(".polls_hit");
+  static const obs::LabelId kPollsEmpty =
+      MetricsRegistry::name_id(".polls_empty");
+  static const obs::LabelId kRxDepth =
+      MetricsRegistry::name_id(".rx_queue_depth");
+  auto& reg = MetricsRegistry::global();
+  const obs::LabelId node = machine_.metric_node();
+  const obs::LabelId rail = fabric_.name_id();
+  // "<rail><suffix>", e.g. "fabric-0.tx_packets".
+  auto key = [&](obs::LabelId suffix) {
+    return obs::MetricKey{kNic, node, -1,
+                          MetricsRegistry::name_id(rail, suffix)};
+  };
+  m_tx_packets_ = reg.counter(key(kTxPackets));
+  m_tx_bytes_ = reg.counter(key(kTxBytes));
+  m_rx_packets_ = reg.counter(key(kRxPackets));
+  m_rx_bytes_ = reg.counter(key(kRxBytes));
+  m_polls_hit_ = reg.counter(key(kPollsHit));
+  m_polls_empty_ = reg.counter(key(kPollsEmpty));
+  m_rx_queue_depth_ = reg.gauge(key(kRxDepth));
 }
 
 SendHandle Nic::post_send(int dst_port, Channel channel, Payload payload,
@@ -221,13 +242,20 @@ void Nic::configure_rx_queues(int n) {
   rx_claimed_.assign(static_cast<std::size_t>(n), 0);
   m_rxq_depth_.clear();
   if (n > 1) {
-    auto& reg = obs::MetricsRegistry::global();
-    const std::string& node = machine_.name();
-    const std::string& rail = fabric_.name();
+    using obs::MetricsRegistry;
+    static const obs::LabelId kNic = MetricsRegistry::component_id("nic");
+    static const obs::LabelId kRxq = MetricsRegistry::name_id(".rxq");
+    static const obs::LabelId kDepth = MetricsRegistry::name_id(".depth");
+    auto& reg = MetricsRegistry::global();
+    const obs::LabelId node = machine_.metric_node();
     m_rxq_depth_.reserve(static_cast<std::size_t>(n));
     for (int q = 0; q < n; ++q) {
-      m_rxq_depth_.push_back(reg.gauge(
-          {"nic", node, -1, rail + ".rxq" + std::to_string(q) + ".depth"}));
+      // "<rail>.rxq<q>.depth"
+      const obs::LabelId ring = MetricsRegistry::name_id(
+          fabric_.name_id(), MetricsRegistry::indexed_name_id(
+                                 kRxq, static_cast<std::uint32_t>(q)));
+      m_rxq_depth_.push_back(
+          reg.gauge({kNic, node, -1, MetricsRegistry::name_id(ring, kDepth)}));
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -33,13 +34,20 @@ class Nic;
 /// their slowest path.
 class Fabric {
  public:
-  explicit Fabric(sim::Engine& engine, std::string name = "fabric");
+  /// @p name is an interned metrics name id: the rail prefix of every
+  /// attached NIC's instruments ("<name>.tx_packets", ...).
+  Fabric(sim::Engine& engine, obs::LabelId name);
+  /// The same, interning @p name first.
+  explicit Fabric(sim::Engine& engine, std::string_view name = "fabric");
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
   sim::Engine& engine() { return engine_; }
-  const std::string& name() const { return name_; }
+  const std::string& name() const {
+    return obs::MetricsRegistry::name_label(name_);
+  }
+  obs::LabelId name_id() const { return name_; }
 
   /// Attach a NIC; returns its port id on this fabric.
   int attach(Nic* nic);
@@ -74,7 +82,7 @@ class Fabric {
   void deliver_at(sim::Time earliest, sim::Time occupancy, Packet pkt);
 
   sim::Engine& engine_;
-  std::string name_;
+  obs::LabelId name_;
   std::vector<Nic*> ports_;
   std::vector<sim::Time> port_busy_until_;
   /// Partition owning each port (recorded at attach time). In partitioned

@@ -230,10 +230,13 @@ void Analyzer::merged_print_report(std::FILE* out) {
 
 void Analyzer::set_enabled(bool on) {
   if (on && !enabled_) {
+    static const obs::MetricName kRaces("simsan", "races");
+    static const obs::MetricName kCycles("simsan", "lock_order_cycles");
+    static const obs::MetricName kCtx("simsan", "context_violations");
     auto& reg = obs::MetricsRegistry::global();
-    m_races_ = reg.counter({"simsan", "", -1, "races"});
-    m_cycles_ = reg.counter({"simsan", "", -1, "lock_order_cycles"});
-    m_ctx_ = reg.counter({"simsan", "", -1, "context_violations"});
+    m_races_ = reg.counter(kRaces.at(obs::kProcessWide));
+    m_cycles_ = reg.counter(kCycles.at(obs::kProcessWide));
+    m_ctx_ = reg.counter(kCtx.at(obs::kProcessWide));
   }
   enabled_ = on;
 }

@@ -56,15 +56,19 @@ Scheduler& ThreadContext::scheduler() const { return thread_.sched_; }
 Scheduler::Scheduler(mach::Machine& machine) : machine_(machine) {
   home_partition_ = machine.engine().current_partition();
   cores_.resize(static_cast<std::size_t>(machine.num_cores()));
+  static const obs::MetricName kSwitches("sched", "context_switches");
+  static const obs::MetricName kIdleHooks("sched", "idle_hook_runs");
+  static const obs::MetricName kSwitchHooks("sched", "switch_hook_runs");
+  static const obs::MetricName kTimerHooks("sched", "timer_hook_runs");
   auto& reg = obs::MetricsRegistry::global();
-  const std::string& node = machine.name();
+  const obs::LabelId node = machine.metric_node();
   for (int i = 0; i < machine.num_cores(); ++i) {
     Core& c = cores_[static_cast<std::size_t>(i)];
     c.id = i;
-    c.m_switches = reg.counter({"sched", node, i, "context_switches"});
-    c.m_idle_hook_runs = reg.counter({"sched", node, i, "idle_hook_runs"});
-    c.m_switch_hook_runs = reg.counter({"sched", node, i, "switch_hook_runs"});
-    c.m_timer_hook_runs = reg.counter({"sched", node, i, "timer_hook_runs"});
+    c.m_switches = reg.counter(kSwitches.at(node, i));
+    c.m_idle_hook_runs = reg.counter(kIdleHooks.at(node, i));
+    c.m_switch_hook_runs = reg.counter(kSwitchHooks.at(node, i));
+    c.m_timer_hook_runs = reg.counter(kTimerHooks.at(node, i));
   }
 }
 

@@ -9,15 +9,27 @@
 
 namespace pm2::sync {
 
-SpinLock::SpinLock(mth::Scheduler& sched, std::string name)
-    : sched_(sched), name_(std::move(name)) {
-  auto& reg = obs::MetricsRegistry::global();
-  const std::string& node = sched_.machine().name();
-  m_acquisitions_ =
-      reg.counter({"sync", node, -1, name_ + ".acquisitions"});
-  m_contentions_ = reg.counter({"sync", node, -1, name_ + ".contentions"});
-  m_hold_ns_ = reg.counter({"sync", node, -1, name_ + ".hold_ns"});
+SpinLock::SpinLock(mth::Scheduler& sched, obs::LabelId kind)
+    : sched_(sched), name_(&obs::MetricsRegistry::name_label(kind)) {
+  using obs::MetricsRegistry;
+  static const obs::LabelId kSync = MetricsRegistry::component_id("sync");
+  static const obs::LabelId kAcquisitions =
+      MetricsRegistry::name_id(".acquisitions");
+  static const obs::LabelId kContentions =
+      MetricsRegistry::name_id(".contentions");
+  static const obs::LabelId kHoldNs = MetricsRegistry::name_id(".hold_ns");
+  auto& reg = MetricsRegistry::global();
+  const obs::LabelId node = sched_.machine().metric_node();
+  m_acquisitions_ = reg.counter(
+      {kSync, node, -1, MetricsRegistry::name_id(kind, kAcquisitions)});
+  m_contentions_ = reg.counter(
+      {kSync, node, -1, MetricsRegistry::name_id(kind, kContentions)});
+  m_hold_ns_ =
+      reg.counter({kSync, node, -1, MetricsRegistry::name_id(kind, kHoldNs)});
 }
+
+SpinLock::SpinLock(mth::Scheduler& sched, std::string_view name)
+    : SpinLock(sched, obs::MetricsRegistry::name_id(name)) {}
 
 void SpinLock::lock() {
   auto& ctx = mth::ExecContext::current();
@@ -37,7 +49,7 @@ void SpinLock::lock() {
     // Under analysis this becomes a reported finding and the acquisition is
     // abandoned (the caller does not get the lock) so the run stays alive.
     if (san::violation("spin-in-hook", "SpinLock::lock contended on \"" +
-                                           name_ + "\" in hook context")) {
+                                           *name_ + "\" in hook context")) {
       return;
     }
     assert(false &&
@@ -117,11 +129,11 @@ bool SpinLock::try_lock() {
 }
 
 void SpinLock::san_acquired(bool blocking) {
-  san::acquired(san_tag_, name_, san::LockKind::kSpin, blocking);
+  san::acquired(san_tag_, *name_, san::LockKind::kSpin, blocking);
 }
 
 void SpinLock::san_released() {
-  san::released(san_tag_, name_, san::LockKind::kSpin);
+  san::released(san_tag_, *name_, san::LockKind::kSpin);
 }
 
 void SpinLock::unlock() {
@@ -138,7 +150,7 @@ void SpinLock::unlock() {
     // wakes (or hands off to). Default 0 keeps the FIFO order.
     if (xpl::on() && spinners_.size() > 1) {
       xpl::Fingerprint fp;
-      fp.mix_str(name_);
+      fp.mix_str(*name_);
       for (const Waiter& s : spinners_) fp.mix(s.t->id());
       const int i =
           xpl::pick(xpl::SiteKind::kSpinHandoff,

@@ -14,6 +14,7 @@
 
 #include <deque>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "simmachine/machine.hpp"
@@ -24,7 +25,13 @@ namespace pm2::sync {
 
 class SpinLock {
  public:
-  explicit SpinLock(mth::Scheduler& sched, std::string name = "spinlock");
+  /// @p kind is the lock's name as an interned metrics name id
+  /// (obs::MetricsRegistry::name_id): its three instruments
+  /// (sync, <machine>, <name>.acquisitions / .contentions / .hold_ns) are
+  /// derived from it by integer lookup, with no string work.
+  SpinLock(mth::Scheduler& sched, obs::LabelId kind);
+  /// The same, interning @p name first.
+  explicit SpinLock(mth::Scheduler& sched, std::string_view name = "spinlock");
 
   SpinLock(const SpinLock&) = delete;
   SpinLock& operator=(const SpinLock&) = delete;
@@ -41,7 +48,7 @@ class SpinLock {
   void unlock();
 
   bool held() const { return held_; }
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return *name_; }
 
   /// Diagnostics.
   std::uint64_t acquisitions() const { return acquisitions_; }
@@ -67,7 +74,7 @@ class SpinLock {
   void san_released();
 
   mth::Scheduler& sched_;
-  std::string name_;
+  const std::string* name_;  ///< the interned label (process lifetime)
   mach::CacheLine line_;
   bool held_ = false;
   mth::Thread* granted_ = nullptr;  ///< direct-handoff recipient

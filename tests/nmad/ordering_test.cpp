@@ -2,7 +2,12 @@
 // core, swept across locking modes, strategies and seeds.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "nmad/cluster.hpp"
+#include "nmad/wire_format.hpp"
 #include "obs/metrics.hpp"
 #include "simcore/random.hpp"
 
@@ -228,6 +233,90 @@ TEST(Determinism, IdenticalRunsProduceIdenticalTimelines) {
   const auto b = run_once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+// Long runs wrap msg_seq modulo ChunkHeader::kMaxSeq (2^24 messages per
+// (endpoint, gate)). Starting every gate just below the wrap, same-tag
+// messages -- eager and rendezvous, adopted from the unexpected list or
+// matched as they arrive -- must still be received in send order, with the
+// legacy single queue and with channel-ordered multi-queue matching.
+struct SeqWrapCase {
+  int endpoints;
+  int rx_queues;
+  bool late_receiver;  ///< everything lands unexpected before any recv
+};
+
+class SeqWrap : public ::testing::TestWithParam<SeqWrapCase> {};
+
+TEST_P(SeqWrap, SendOrderSurvivesTheWrap) {
+  const SeqWrapCase wc = GetParam();
+  nm::ClusterConfig cfg;
+  cfg.endpoints = wc.endpoints;
+  cfg.rx_queues = wc.rx_queues;
+  nm::Cluster world(cfg);
+  constexpr std::uint32_t kStart = ChunkHeader::kMaxSeq - 5;
+  constexpr std::uint32_t kCount = 12;  // seqs kMaxSeq-5 .. 6
+  world.core(0).set_initial_seq_for_testing(kStart);
+  world.core(1).set_initial_seq_for_testing(kStart);
+  const std::size_t rdv_len = cfg.nm.rdv_threshold + 4096;
+  auto len_of = [rdv_len](std::uint32_t i) {
+    return i % 3 == 1 ? rdv_len : std::size_t{64};
+  };
+  world.spawn(0, [&world, &len_of] {
+    // All sends in flight at once, so the receiver holds messages from
+    // both sides of the wrap at the same time.
+    nm::Core& c = world.core(0);
+    std::vector<std::vector<std::uint8_t>> msgs;
+    std::vector<Request*> reqs;
+    for (std::uint32_t i = 0; i < kCount; ++i) {
+      msgs.emplace_back(len_of(i), static_cast<std::uint8_t>(i));
+      std::memcpy(msgs.back().data(), &i, sizeof(i));
+    }
+    for (std::uint32_t i = 0; i < kCount; ++i) {
+      reqs.push_back(c.isend(world.gate(0, 1), 7, msgs[i].data(),
+                             msgs[i].size()));
+    }
+    for (Request* r : reqs) {
+      c.wait(r);
+      c.release(r);
+    }
+  });
+  std::uint32_t received = 0;
+  world.spawn(1, [&world, &len_of, &received, late = wc.late_receiver] {
+    if (late) world.sched(1).work(sim::microseconds(500));
+    nm::Core& c = world.core(1);
+    std::vector<std::uint8_t> b(len_of(1));
+    for (std::uint32_t i = 0; i < kCount; ++i) {
+      c.recv(world.gate(1, 0), 7, b.data(), b.size());
+      std::uint32_t got = 0;
+      std::memcpy(&got, b.data(), sizeof(got));
+      EXPECT_EQ(got, i) << "message " << i << " matched out of send order";
+      ++received;
+    }
+  });
+  world.run();
+  EXPECT_EQ(received, kCount);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Wrap, SeqWrap,
+    ::testing::Values(SeqWrapCase{1, 1, false}, SeqWrapCase{1, 1, true},
+                      SeqWrapCase{2, 2, false}, SeqWrapCase{2, 2, true}),
+    [](const ::testing::TestParamInfo<SeqWrapCase>& info) {
+      return "ep" + std::to_string(info.param.endpoints) + "_rxq" +
+             std::to_string(info.param.rx_queues) +
+             (info.param.late_receiver ? "_unexpected" : "_posted");
+    });
+
+TEST(SeqWrap, SerialOrderAcrossTheWrap) {
+  constexpr std::uint32_t kLast = ChunkHeader::kMaxSeq - 1;
+  EXPECT_EQ(seq_next(kLast), 0u);
+  EXPECT_TRUE(seq_after(0, kLast));
+  EXPECT_TRUE(seq_after(3, kLast - 2));
+  EXPECT_FALSE(seq_after(kLast, 0));
+  EXPECT_FALSE(seq_after(5, 5));
+  EXPECT_TRUE(seq_after(6, 5));
+  EXPECT_FALSE(seq_after(5, 6));
 }
 
 }  // namespace
