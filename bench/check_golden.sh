@@ -2,10 +2,12 @@
 # Golden-digest gate: every virtual-time output the repository publishes
 # must stay byte-identical across host-side optimizations. Runs the figure
 # benches, the ablations, sec33_corewaste and app_hybrid at their default
-# configuration, fig3 on the multi-endpoint and multi-queue paths, and each
-# figure bench partitioned with simsan on; hashes stdout, CSV, metrics JSON
-# and the Chrome-trace JSON of every run; and compares the hashes with the
-# committed bench/golden_digests.txt.
+# configuration, fig3 on the multi-endpoint and multi-queue paths, each
+# figure bench partitioned with simsan on, and the two hook-progress figures
+# (fig7, fig9) partitioned with no timeline and no simsan -- the runs where
+# the scheduler's dry idle-poll fast-forward is active; hashes stdout, CSV,
+# metrics JSON and the Chrome-trace JSON of every run; and compares the
+# hashes with the committed bench/golden_digests.txt.
 #
 # The .trace.bin of partitioned runs is not hashed: its ring packing and
 # string-intern order depend on host thread interleaving (see
@@ -64,6 +66,11 @@ run fig3_locking.ep4 fig3_locking --endpoints=4 $files
 run fig3_locking.ep4.rxq4 fig3_locking --endpoints=4 --rx-queues=4 $files
 for b in $figs; do
   run "$b.p2w2.simsan" "$b" --partitions=2 --workers=2 --simsan=on $files
+done
+# No --metrics-out (it attaches a timeline) and no simsan: both observers
+# turn the idle fast-forward off, so these two runs are where it is gated.
+for b in fig7_waiting fig9_offload; do
+  run "$b.p2w2" "$b" --partitions=2 --workers=2 --csv=out.csv
 done
 wait
 

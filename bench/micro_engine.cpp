@@ -220,6 +220,54 @@ void BM_PingpongEndToEndTracedLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_PingpongEndToEndTracedLegacy)->Unit(benchmark::kMillisecond);
 
+/// PIOMan idle polling under passive waits: two nodes exchange 64 KB
+/// (rendezvous) messages, one thread each, so while a message is on the
+/// wire the other three cores of each node -- and the waiter's own core --
+/// run PIOMan idle passes that find nothing. Reports engine events, PIOMan
+/// passes and idle passes replayed without an event (the scheduler's dry
+/// idle fast-forward), per one-way message.
+void BM_IdlePolling(benchmark::State& state) {
+  const std::size_t kIters = 16;
+  const std::size_t kLen = 64 * 1024;
+  nm::ClusterConfig cfg;
+  cfg.nm.lock = nm::LockMode::kFine;
+  cfg.nm.wait = nm::WaitMode::kPassive;
+  cfg.nm.progress = nm::ProgressMode::kPiomanHooks;
+  std::uint64_t events = 0;
+  std::uint64_t passes = 0;
+  std::uint64_t elided = 0;
+  for (auto _ : state) {
+    nm::Cluster world(cfg);
+    for (int node = 0; node < 2; ++node) {
+      world.spawn(node, [&world, node] {
+        auto& c = world.core(node);
+        auto* g = world.gate(node, 1 - node);
+        std::vector<std::uint8_t> buf(kLen, static_cast<std::uint8_t>(node));
+        for (std::size_t i = 0; i < kIters; ++i) {
+          if (node == 0) {
+            c.send(g, 1, buf.data(), buf.size());
+            c.recv(g, 2, buf.data(), buf.size());
+          } else {
+            c.recv(g, 1, buf.data(), buf.size());
+            c.send(g, 2, buf.data(), buf.size());
+          }
+        }
+      });
+    }
+    world.run();
+    events += world.engine().events_executed();
+    elided += world.engine().elided_ticks();
+    for (int node = 0; node < 2; ++node) passes += world.pioman(node).passes();
+  }
+  state.SetItemsProcessed(state.iterations() * kIters);
+  const double msgs = 2.0 * static_cast<double>(kIters) *
+                      static_cast<double>(state.iterations());
+  state.counters["events_per_msg"] = static_cast<double>(events) / msgs;
+  state.counters["pioman_passes_per_msg"] = static_cast<double>(passes) / msgs;
+  state.counters["elided_ticks_per_msg"] = static_cast<double>(elided) / msgs;
+}
+BENCHMARK(BM_IdlePolling)->Unit(benchmark::kMillisecond);
+
 void BM_ParallelEngine(benchmark::State& state) {
   // Partitioned-engine throughput: an 8-node world (4 independent pingpong
   // pairs), one partition per node, executed by range(0) host workers.

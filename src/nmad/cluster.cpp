@@ -35,14 +35,15 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   // Partition the engine before anything schedules an event. The lookahead
   // is the minimum virtual time any packet spends between leaving one
   // node's control (DMA start) and entering another's (rx delivery) --
-  // exactly the slack the conservative window synchronization needs.
+  // exactly the slack the conservative window synchronization needs, and
+  // the horizon of every scheduler's idle fast-forward.
+  sim::Time lookahead = sim::kTimeInfinity;
+  for (const auto& rail : cfg_.rails) {
+    lookahead = std::min(lookahead, rail.tx_dma_delay + rail.wire_latency +
+                                        rail.rx_deliver_delay);
+  }
   const int parts = std::min(cfg_.partitions, cfg_.nodes);
   if (parts > 1) {
-    sim::Time lookahead = sim::kTimeInfinity;
-    for (const auto& rail : cfg_.rails) {
-      lookahead = std::min(lookahead, rail.tx_dma_delay + rail.wire_latency +
-                                          rail.rx_deliver_delay);
-    }
     if (lookahead <= 0) {
       throw std::invalid_argument(
           "Cluster: partitions > 1 needs a positive minimum wire delay "
@@ -76,6 +77,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     node->machine = std::make_unique<mach::Machine>(
         engine_, "node" + std::to_string(n), cfg_.topology, cfg_.costs);
     node->sched = std::make_unique<mth::Scheduler>(*node->machine);
+    node->sched->set_idle_fast_forward(std::max<sim::Time>(lookahead, 0));
     node->pioman = std::make_unique<piom::Server>(*node->sched);
     node->tasklets = std::make_unique<piom::TaskletEngine>(*node->sched);
     node->core = std::make_unique<Core>(*node->sched, cfg_.nm,

@@ -893,7 +893,10 @@ bool Core::progress(mth::ExecContext& ctx) {
 }
 
 bool Core::progress_try(mth::ExecContext& ctx, bool submission_only) {
-  stats_.progress_passes.add_always();
+  note_progress_pass(this, 0);
+  if (ctx.dry_journal != nullptr) {
+    ctx.dry_journal->add_step(&Core::note_progress_pass, this);
+  }
   if (num_eps_ > 1) {
     return progress_multi(ctx, /*own_ep=*/-1, /*use_try=*/true,
                           submission_only);
@@ -942,7 +945,10 @@ bool Core::progress_multi(mth::ExecContext& ctx, int own_ep, bool use_try,
   // Deterministic round-robin start so no endpoint is structurally starved
   // when many contexts drive progression.
   const int start = rr_;
-  rr_ = (rr_ + 1) % num_eps_;
+  note_rr_advance(this, 0);
+  if (ctx.dry_journal != nullptr) {
+    ctx.dry_journal->add_step(&Core::note_rr_advance, this);
+  }
   for (int k = 0; k < num_eps_; ++k) {
     const int e = (start + k) % num_eps_;
     Endpoint& ep = *eps_[static_cast<std::size_t>(e)];
@@ -972,6 +978,26 @@ bool Core::pending() const {
     return has_submission_work();
   }
   return active_reqs_ > 0 || has_submission_work();
+}
+
+bool Core::quiet() const {
+  if (has_submission_work()) return false;
+  for (const auto& q : parked_rx_) {
+    if (!q.empty()) return false;
+  }
+  for (const net::Nic* nic : nics_) {
+    if (nic->rx_pending()) return false;
+  }
+  return submit_tasklet_ == nullptr || !submit_tasklet_->scheduled();
+}
+
+void Core::note_progress_pass(void* self, sim::Time /*now*/) {
+  static_cast<Core*>(self)->stats_.progress_passes.add_always();
+}
+
+void Core::note_rr_advance(void* self, sim::Time /*now*/) {
+  Core& c = *static_cast<Core*>(self);
+  c.rr_ = (c.rr_ + 1) % c.num_eps_;
 }
 
 bool Core::has_submission_work() const {
@@ -1427,9 +1453,15 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       // carries the receiving request -- the advertised memory window --
       // so the data chunks can be *placed* with zero host copies.
       auto it = ep.send_by_cookie_.find(h.cookie);
-      assert(it != ep.send_by_cookie_.end() && "CTS for unknown request");
+      if (it == ep.send_by_cookie_.end()) {
+        drop_chunk(gate, h, "CTS for an unknown cookie");
+        return;
+      }
       Request* req = it->second;
-      assert(!req->rdv_granted_);
+      if (req->rdv_granted_) {
+        drop_chunk(gate, h, "second CTS for one rendezvous");
+        return;
+      }
       req->rdv_granted_ = true;
       stats_.rdv_handshakes.add_always();
       PackWrapper pw;
@@ -1471,10 +1503,22 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
     }
     case ChunkKind::kEager:
     case ChunkKind::kRdvData: {
+      // The decoder passes any byte ranges; the message's own bounds are
+      // checked here, before a chunk can touch matching state.
+      if (h.chunk_len > h.total_len || h.offset > h.total_len - h.chunk_len) {
+        drop_chunk(gate, h, "data past the message's length");
+        return;
+      }
       Request* req = nullptr;
       auto bound = gate.bound_recvs_.find(h.msg_seq);
       if (bound != gate.bound_recvs_.end()) {
         req = bound->second;
+        // Bound requests satisfy total_len_ <= capacity_.
+        if (h.offset + h.chunk_len > req->total_len_ ||
+            req->filled_ + h.chunk_len > req->total_len_) {
+          drop_chunk(gate, h, "data past the bound receive");
+          return;
+        }
       } else {
         for (auto it = gate.posted_recvs_.begin();
              it != gate.posted_recvs_.end(); ++it) {
@@ -1515,12 +1559,20 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       // payload lives in a pooled slab (segmented delivery) -- the piece
       // shares the slab via refcount. Flat payloads (raw injection) die
       // with the packet, so those bytes go into a fresh pooled slab.
+      if (h.chunk_len > 0 && data == nullptr) {
+        drop_chunk(gate, h, "placed chunk with no posted window");
+        return;
+      }
       UnexpectedMsg* um = nullptr;
       for (auto& u : gate.unexpected_) {
         if (u.msg_seq == h.msg_seq) {
           um = &u;
           break;
         }
+      }
+      if (um != nullptr && h.offset + h.chunk_len > um->total_len) {
+        drop_chunk(gate, h, "data past the unexpected message");
+        return;
       }
       if (um == nullptr) {
         gate.unexpected_.emplace_back();
@@ -1530,8 +1582,6 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
         um->total_len = h.total_len;
       }
       if (h.chunk_len > 0) {
-        assert(data != nullptr && "placed chunk arrived unexpected");
-        assert(h.offset + h.chunk_len <= um->total_len);
         UnexpectedPiece piece;
         piece.offset = h.offset;
         piece.len = h.chunk_len;
@@ -1559,6 +1609,16 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       return;
     }
   }
+}
+
+void Core::drop_chunk(const Gate& gate, const ChunkHeader& h,
+                      const char* why) {
+  ++stats_.dropped_chunks;
+  PM2_TRACE("nmad", kWarn,
+            "%s: dropped chunk from node %d (kind %d, seq %u, offset %u, "
+            "len %u, total %u): %s",
+            name_.c_str(), gate.peer_node(), static_cast<int>(h.kind),
+            h.msg_seq, h.offset, h.chunk_len, h.total_len, why);
 }
 
 void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,

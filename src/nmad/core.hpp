@@ -188,6 +188,9 @@ class Core final : public piom::PollSource {
   // PollSource interface (PIOMan).
   bool poll(mth::ExecContext& ctx) override;
   bool pending() const override;
+  /// No deferred, outgoing, driver, RX, parked or tasklet work: a hook
+  /// pass would only peek the NICs' empty doorbells.
+  bool quiet() const override;
 
   /// Spawn/stop the dedicated progression thread(s) (kPollThread) on
   /// config().poll_core. With N > 1 endpoints, one fiber per endpoint is
@@ -216,6 +219,11 @@ class Core final : public piom::PollSource {
     obs::Counter unexpected_chunks;
     obs::Counter rdv_handshakes;
     obs::Counter progress_passes;
+    /// Chunks that decoded but lied about their message (a CTS for no
+    /// pending rendezvous, data past the message or the bound receive, a
+    /// placed chunk nobody posted a window for): dropped at the receive
+    /// boundary with a warning. Always on; not a registry instrument.
+    std::uint64_t dropped_chunks = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -257,6 +265,8 @@ class Core final : public piom::PollSource {
                            Gate& gate, const ChunkHeader& h,
                            const std::uint8_t* data, void* note,
                            const net::SlabRef* backing);
+  /// Count and log a chunk rejected by handle_chunk_locked's checks.
+  void drop_chunk(const Gate& gate, const ChunkHeader& h, const char* why);
   void deliver_chunk_locked(mth::ExecContext& ctx, int rail, Gate& gate,
                             Request* req, const ChunkHeader& h,
                             const std::uint8_t* data);
@@ -348,6 +358,10 @@ class Core final : public piom::PollSource {
   /// order is not). Plain bytes suffice: a node's fibers share one worker.
   std::vector<std::vector<std::uint8_t>> mq_ring_busy_;
   int rr_ = 0;  ///< deterministic round-robin progression cursor
+  /// mth::DryJournal steps: counter effects of a dry hook pass, and the
+  /// multi-endpoint pass's cursor advance.
+  static void note_progress_pass(void* self, sim::Time now);
+  static void note_rr_advance(void* self, sim::Time now);
 
   std::vector<std::unique_ptr<Request>> req_pool_;
   std::vector<Request*> free_reqs_;

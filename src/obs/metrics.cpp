@@ -170,8 +170,9 @@ std::string display_key(const KeyLabels& k) {
 
 }  // namespace
 
-MetricsRegistry& MetricsRegistry::global() {
+MetricsRegistry& MetricsRegistry::make_global() {
   static MetricsRegistry g;
+  global_.store(&g, std::memory_order_relaxed);
   return g;
 }
 

@@ -45,6 +45,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -106,7 +107,15 @@ class HistogramMetric;
 class MetricsRegistry {
  public:
   /// The process-global instance (the simulator is single-threaded).
-  static MetricsRegistry& global();
+  /// Inline: after the first call, one load.
+  static MetricsRegistry& global() {
+    MetricsRegistry* g = global_.load(std::memory_order_relaxed);
+    return g != nullptr ? *g : make_global();
+  }
+
+  /// The global instance while it is enabled, else nullptr: the single
+  /// load an instrument write costs on the disabled path.
+  static MetricsRegistry* active() { return active_; }
 
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -114,7 +123,12 @@ class MetricsRegistry {
 
   /// The sink switch: instruments store only while enabled.
   bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
+  void set_enabled(bool on) {
+    enabled_ = on;
+    if (this == global_.load(std::memory_order_relaxed)) {
+      active_ = on ? this : nullptr;
+    }
+  }
 
   /// Size the write shards for @p n engine partitions (shard 0 is the
   /// primary store; partitions 1..n-1 get private shards). Never shrinks,
@@ -258,6 +272,10 @@ class MetricsRegistry {
                                                int core,
                                                const std::string& name);
 
+  static MetricsRegistry& make_global();
+  static inline std::atomic<MetricsRegistry*> global_{nullptr};
+  static inline MetricsRegistry* active_ = nullptr;
+
   bool enabled_ = false;
   std::uint64_t registrations_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;  ///< partitions 1..n-1
@@ -283,8 +301,8 @@ class Counter {
 
   /// Hot path: branch + array add while the registry is enabled.
   void inc(std::uint64_t delta = 1) {
-    MetricsRegistry& r = MetricsRegistry::global();
-    if (r.enabled_ && idx_ != kInvalidMetric) r.counter_cell(idx_) += delta;
+    MetricsRegistry* r = MetricsRegistry::active();
+    if (r != nullptr && idx_ != kInvalidMetric) r->counter_cell(idx_) += delta;
   }
 
   /// Unconditional add, for counters whose call sites predate the registry
@@ -316,9 +334,9 @@ class Gauge {
   bool valid() const { return idx_ != kInvalidMetric; }
 
   void set(std::int64_t v) {
-    MetricsRegistry& r = MetricsRegistry::global();
-    if (r.enabled_ && idx_ != kInvalidMetric) {
-      auto& slot = r.gauges_[idx_];
+    MetricsRegistry* r = MetricsRegistry::active();
+    if (r != nullptr && idx_ != kInvalidMetric) {
+      auto& slot = r->gauges_[idx_];
       slot.value = v;
       if (v > slot.max) slot.max = v;
     }
@@ -348,9 +366,9 @@ class HistogramMetric {
   bool valid() const { return idx_ != kInvalidMetric; }
 
   void observe(std::uint64_t v) {
-    MetricsRegistry& r = MetricsRegistry::global();
-    if (r.enabled_ && idx_ != kInvalidMetric) {
-      auto& slot = r.hist_cell(idx_);
+    MetricsRegistry* r = MetricsRegistry::active();
+    if (r != nullptr && idx_ != kInvalidMetric) {
+      auto& slot = r->hist_cell(idx_);
       if (slot.count == 0 || v < slot.min) slot.min = v;
       if (v > slot.max) slot.max = v;
       ++slot.count;

@@ -53,17 +53,30 @@ bool Server::has_pending(int core) const {
   return false;
 }
 
-bool Server::poll_once(mth::ExecContext& ctx) {
-  ++passes_;
-  m_passes_.inc();
-  if (obs::MetricsRegistry::global().enabled()) {
-    const sim::Time now = sched_.engine().now();
-    if (last_pass_at_ >= 0 && now > last_pass_at_) {
-      m_poll_interval_ns_.observe(
-          static_cast<std::uint64_t>(now - last_pass_at_));
-    }
-    last_pass_at_ = now;
+bool Server::dry_candidate() const {
+  if (poll_core_ >= 0) return false;
+  for (const PollSource* s : sources_) {
+    if (s->preferred_core() >= 0 || !s->quiet()) return false;
   }
+  return true;
+}
+
+void Server::note_pass(void* self, sim::Time now) {
+  Server& s = *static_cast<Server*>(self);
+  ++s.passes_;
+  s.m_passes_.inc();
+  if (obs::MetricsRegistry::active() != nullptr) {
+    if (s.last_pass_at_ >= 0 && now > s.last_pass_at_) {
+      s.m_poll_interval_ns_.observe(
+          static_cast<std::uint64_t>(now - s.last_pass_at_));
+    }
+    s.last_pass_at_ = now;
+  }
+}
+
+bool Server::poll_once(mth::ExecContext& ctx) {
+  note_pass(this, sched_.engine().now());
+  if (ctx.dry_journal != nullptr) ctx.dry_journal->add_step(&note_pass, this);
   // Internal request-list management (Fig. 6's overhead).
   ctx.charge(sched_.costs().pioman_pass);
   // The server's lists are protected by a lock that hook/tasklet contexts
@@ -71,6 +84,8 @@ bool Server::poll_once(mth::ExecContext& ctx) {
   if (!list_lock_.try_lock()) {
     ++skipped_passes_;
     m_skipped_passes_.inc();
+    // A skipped pass proves nothing: the lock holder is mid-pass.
+    if (ctx.dry_journal != nullptr) ctx.dry_journal->spoil();
     return false;
   }
   bool progressed = false;
@@ -95,8 +110,19 @@ void Server::enable_hooks() {
     if (!has_pending(hctx.core())) return;
     poll_once(hctx);
   };
+  // Idle passes vouch for a dry pass (mth::Hook): one that found the
+  // sources quiet, made no progress, took the list lock, and left them
+  // quiet. Quiet before and after pins the pass to the empty-poll path,
+  // and with no core binding every core's pass is that same pass.
+  auto idle_run = [this](mth::HookContext& hctx) {
+    if (!has_pending(hctx.core())) return;
+    mth::DryJournal* journal = hctx.dry_journal;
+    const bool quiet = journal != nullptr && dry_candidate();
+    const bool progressed = poll_once(hctx);
+    if (quiet && !progressed && dry_candidate()) journal->vouch();
+  };
   auto want = [this](int core) { return has_pending(core); };
-  idle_hook_id_ = sched_.add_idle_hook(mth::Hook{run, want});
+  idle_hook_id_ = sched_.add_idle_hook(mth::Hook{idle_run, want});
   switch_hook_id_ = sched_.add_switch_hook(mth::Hook{run, nullptr});
   timer_hook_id_ = sched_.add_timer_hook(mth::Hook{run, nullptr});
   PM2_TRACE("pioman", kInfo, "hooks enabled (poll core binding: %d)",

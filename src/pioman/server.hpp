@@ -33,6 +33,12 @@ class PollSource {
   /// True if the source may have work (gates idle-loop re-arming).
   virtual bool pending() const = 0;
 
+  /// True if a poll now would find nothing to do: it would take only the
+  /// empty-poll path, whose effects it records in the context's
+  /// mth::DryJournal, and change no state. Gates the idle fast-forward;
+  /// the default keeps a source on the per-tick path.
+  virtual bool quiet() const { return false; }
+
   /// If >= 0, only this core should poll the source (Fig. 8's binding).
   virtual int preferred_core() const { return -1; }
 };
@@ -77,6 +83,12 @@ class Server {
   std::uint64_t skipped_passes() const { return skipped_passes_; }
 
  private:
+  /// No core binding and every source quiet (see PollSource::quiet).
+  bool dry_candidate() const;
+  /// A pass's counter effects at virtual @p now (also a mth::DryJournal
+  /// step).
+  static void note_pass(void* self, sim::Time now);
+
   mth::Scheduler& sched_;
   std::vector<PollSource*> sources_;
   sync::SpinLock list_lock_;

@@ -69,6 +69,12 @@ class TaskletEngine {
 
  private:
   void drain(mth::HookContext& ctx);
+  bool all_empty() const {
+    for (const auto& q : queues_) {
+      if (!q.empty()) return false;
+    }
+    return true;
+  }
 
   mth::Scheduler& sched_;
   std::vector<std::deque<Tasklet*>> queues_;

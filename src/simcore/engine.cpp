@@ -48,25 +48,28 @@ void Engine::set_mailbox_capacity(std::size_t cap) {
   mailbox_cap_ = std::max<std::size_t>(1, cap);
 }
 
-EventHandle Engine::schedule_at(Time when, EventQueue::Callback cb) {
+EventHandle Engine::schedule_at(Time when, EventQueue::Callback cb,
+                                EventTag tag) {
   Partition& p = part(active_partition());
   if (when < p.now) {
     throw std::logic_error("Engine::schedule_at: time " + format_time(when) +
                            " is in the past (now = " + format_time(p.now) +
                            ")");
   }
-  return p.queue.schedule(when, std::move(cb));
+  return p.queue.schedule(when, std::move(cb), tag);
 }
 
-EventHandle Engine::schedule_after(Time delay, EventQueue::Callback cb) {
+EventHandle Engine::schedule_after(Time delay, EventQueue::Callback cb,
+                                   EventTag tag) {
   assert(delay >= 0 && "negative delay");
-  return schedule_at(now() + delay, std::move(cb));
+  return schedule_at(now() + delay, std::move(cb), tag);
 }
 
-void Engine::schedule_cross(int dst, Time when, EventQueue::Callback cb) {
+void Engine::schedule_cross(int dst, Time when, EventQueue::Callback cb,
+                            EventTag tag) {
   const int src = active_partition();
   if (num_partitions() == 1 || dst == src) {
-    schedule_at(when, std::move(cb));
+    schedule_at(when, std::move(cb), tag);
     return;
   }
   assert(dst >= 0 && dst < num_partitions() && "partition out of range");
@@ -74,7 +77,7 @@ void Engine::schedule_cross(int dst, Time when, EventQueue::Callback cb) {
   assert(when >= s.window_floor + lookahead_ &&
          "cross-partition event violates the lookahead contract");
   auto& box = mailbox(src, dst);
-  box.push_back(CrossEvent{when, s.out_seq++, src, std::move(cb)});
+  box.push_back(CrossEvent{when, s.out_seq++, src, tag, std::move(cb)});
   ++s.cross_sent;
   if (box.size() >= mailbox_cap_ && !s.window_abort) {
     ++s.overflows;
@@ -113,6 +116,14 @@ bool Engine::try_advance(Time when) {
   p.now = when;
   ++p.run_aheads;
   return true;
+}
+
+Time Engine::idle_horizon(std::int32_t owner) {
+  Partition& p = part(active_partition());
+  if (p.run_limit == kNoRunAhead || p.window_abort || stopped()) return p.now;
+  const Time limit =
+      p.run_limit == kTimeInfinity ? kTimeInfinity : p.run_limit + 1;
+  return p.queue.next_time_bounding(owner, limit);
 }
 
 void Engine::run() {
@@ -179,6 +190,12 @@ std::uint64_t Engine::run_aheads() const {
   return n;
 }
 
+std::uint64_t Engine::elided_ticks() const {
+  std::uint64_t n = 0;
+  for (auto& p : parts_) n += p->elided_ticks;
+  return n;
+}
+
 std::uint64_t Engine::cross_events() const {
   std::uint64_t n = 0;
   for (auto& p : parts_) n += p->cross_sent;
@@ -217,7 +234,7 @@ void Engine::drain_mailboxes_for(int dst) {
             });
   for (auto& e : scratch) {
     assert(e.when >= d.now && "cross event arrived in the past");
-    d.queue.schedule(e.when, std::move(e.cb));
+    d.queue.schedule(e.when, std::move(e.cb), e.tag);
   }
   scratch.clear();
 }

@@ -107,11 +107,14 @@ class Engine {
   Time partition_now(int p) const { return part(p).now; }
 
   /// Schedule a callback at absolute virtual time @p when in the calling
-  /// context's partition. @p when must not be in the past.
-  EventHandle schedule_at(Time when, EventQueue::Callback cb);
+  /// context's partition. @p when must not be in the past. @p tag names the
+  /// node the event belongs to (see EventTag; untagged bounds every node).
+  EventHandle schedule_at(Time when, EventQueue::Callback cb,
+                          EventTag tag = {});
 
   /// Schedule a callback @p delay nanoseconds from now (delay >= 0).
-  EventHandle schedule_after(Time delay, EventQueue::Callback cb);
+  EventHandle schedule_after(Time delay, EventQueue::Callback cb,
+                             EventTag tag = {});
 
   /// Schedule a callback into partition @p dst at time @p when. The only
   /// legal producer of true cross-partition events is the simnet wire (the
@@ -121,7 +124,12 @@ class Engine {
   /// are buffered in a per-(src,dst) mailbox and merged into the target
   /// heap at the next window barrier in (when, src partition, send seq)
   /// order -- deterministic for any worker count.
-  void schedule_cross(int dst, Time when, EventQueue::Callback cb);
+  void schedule_cross(int dst, Time when, EventQueue::Callback cb,
+                      EventTag tag = {});
+
+  /// A fresh node id for EventTag::owner (one per simulated node; the
+  /// machine model asks once at construction).
+  std::int32_t add_owner() { return next_owner_++; }
 
   /// Cancel a pending event. Safe on fired/cancelled handles. (Cross-
   /// partition events are not cancellable -- they have no handle.)
@@ -164,6 +172,28 @@ class Engine {
   /// the event round trip.
   bool try_advance(Time when);
 
+  /// Idle fast-forward horizon of node @p owner, for the calling
+  /// partition: the scheduler may replay @p owner's dry idle-poll passes at
+  /// times strictly below the returned value, instead of executing them as
+  /// events. It is the earliest of
+  ///  * @p owner's next pending event that is not one of its idle ticks
+  ///    (while an untagged event is pending, which bounds every node, the
+  ///    partition's next event of any kind);
+  ///  * one past the run limit: the run_until deadline (inclusive) or the
+  ///    window horizon (exclusive).
+  /// Returns now() -- nothing may be replayed -- outside a run()/
+  /// run_until()/window (step() never fast-forwards), after stop(), or once
+  /// the window was aborted. The caller bounds the result further by the
+  /// minimum node-to-node latency: within it, nothing another node does can
+  /// reach @p owner.
+  Time idle_horizon(std::int32_t owner);
+
+  /// Record @p n idle-poll passes replayed without an event (all
+  /// partitions add up in elided_ticks()).
+  void note_elided_ticks(std::uint64_t n) {
+    part(active_partition()).elided_ticks += n;
+  }
+
   // --- introspection --------------------------------------------------------
 
   /// Number of live pending events (all partitions; excludes undelivered
@@ -176,6 +206,13 @@ class Engine {
   /// Successful try_advance() calls since construction (all partitions):
   /// each stands for one event the engine did not have to execute.
   std::uint64_t run_aheads() const;
+
+  /// Idle-poll passes replayed by the scheduler's fast-forward since
+  /// construction (all partitions): each stands for one event the engine
+  /// did not have to execute. For any world,
+  /// events_executed() + run_aheads() + elided_ticks() under run() equals
+  /// events_executed() under a step() loop.
+  std::uint64_t elided_ticks() const;
 
   /// Events executed by one partition (load-balance diagnostics).
   std::uint64_t partition_events_executed(int p) const {
@@ -203,6 +240,7 @@ class Engine {
     Time when;
     std::uint64_t seq;  ///< per-source send sequence (ties: src, then seq)
     int src;
+    EventTag tag;
     EventQueue::Callback cb;
   };
 
@@ -222,6 +260,7 @@ class Engine {
     bool window_abort = false;     ///< backpressure: end this window early
     Time run_limit = kNoRunAhead;  ///< latest time try_advance may reach
     std::uint64_t run_aheads = 0;
+    std::uint64_t elided_ticks = 0;
     std::vector<CrossEvent> inbox_scratch;  ///< drain-time merge buffer
   };
 
@@ -267,6 +306,7 @@ class Engine {
   int workers_ = 1;
   std::size_t mailbox_cap_ = 4096;
   std::uint64_t windows_ = 0;
+  std::int32_t next_owner_ = 0;
   std::atomic<bool> stopped_{false};
 };
 

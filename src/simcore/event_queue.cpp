@@ -48,6 +48,29 @@ void EventQueue::remove_top() {
   if (!heap_.empty()) sift_down(0);
 }
 
+Time EventQueue::next_time_bounding(std::int32_t owner, Time limit) {
+  // Untagged events (none in a cluster world) bound every node; the
+  // earliest event of all is a bound below them.
+  Time best = untagged_live_ > 0 ? std::min(limit, next_time()) : limit;
+  const auto i = static_cast<std::size_t>(owner);
+  if (i >= owners_.size() || owners_[i].live == 0) return best;
+  Owner& o = owners_[i];
+  if (!o.watched) {
+    // First query for this owner: collect its pending non-idle entries.
+    o.watched = true;
+    const std::int32_t own = tag_code(EventTag::node(owner));
+    auto collect = [&](const HeapEntry& e) {
+      const Slot& sl = slot(slot_of(e.key));
+      if (sl.key == e.key && sl.tag == own) o.entries.push_back(e);
+    };
+    for (std::size_t k = lane_head_; k < lane_.size(); ++k) collect(lane_[k]);
+    for (const HeapEntry& e : heap_) collect(e);
+  }
+  std::erase_if(o.entries, [this](const HeapEntry& e) { return entry_dead(e); });
+  for (const HeapEntry& e : o.entries) best = std::min(best, e.when);
+  return best;
+}
+
 void EventQueue::compact() {
   std::erase_if(heap_, [this](const HeapEntry& e) { return entry_dead(e); });
   // Floyd heap construction: sift down every internal node, bottom up.

@@ -52,6 +52,19 @@ class EventQueue;
 /// completion (this + shared state + a user std::function, 56 bytes).
 inline constexpr std::size_t kEventCallbackCapacity = 64;
 
+/// The simulated node an event belongs to. The engine uses it to answer
+/// "when is node N's next event that is not one of its idle-poll ticks?"
+/// (Engine::idle_horizon), which bounds the scheduler's dry idle-poll
+/// fast-forward. Untagged events belong to no node and bound every node.
+struct EventTag {
+  static constexpr std::int32_t kNoOwner = -1;
+  std::int32_t owner = kNoOwner;  ///< Engine::add_owner() id, or kNoOwner
+  bool idle_tick = false;         ///< an idle-poll tick of @p owner
+
+  static EventTag node(std::int32_t owner) { return EventTag{owner, false}; }
+  static EventTag idle(std::int32_t owner) { return EventTag{owner, true}; }
+};
+
 /// Opaque handle to a scheduled event, usable to cancel it.
 ///
 /// Handles are two words, trivially copyable, and go stale safely: a
@@ -68,6 +81,10 @@ class EventHandle {
 
   /// True if this handle refers to some event (even one that already fired).
   bool valid() const { return queue_ != nullptr; }
+
+  /// Schedule order: of two events of one queue scheduled for the same
+  /// time, the one with the smaller order fires first.
+  std::uint64_t order() const { return key_; }
 
  private:
   friend class EventQueue;
@@ -92,15 +109,17 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedule @p cb to fire at absolute time @p when.
-  EventHandle schedule(Time when, Callback cb) {
+  /// Schedule @p cb to fire at absolute time @p when, owned by @p tag.
+  EventHandle schedule(Time when, Callback cb, EventTag tag = {}) {
     const std::uint32_t s = acquire_slot();
     assert(seq_ < (std::uint64_t{1} << (64 - kSlotBits)) && "sequence overflow");
     const std::uint64_t key = (seq_++ << kSlotBits) | s;
     Slot& sl = slot(s);
     sl.cb = std::move(cb);
     sl.key = key;
+    sl.tag = tag_code(tag);
     const HeapEntry e{when, key};
+    note_scheduled(sl.tag, e);
     // Keys grow monotonically, so "e after lane back" reduces to a time
     // comparison: nondecreasing streams ride the O(1) lane.
     if (lane_empty() || when >= lane_.back().when) {
@@ -118,6 +137,7 @@ class EventQueue {
   /// callback's capture is destroyed immediately.
   bool cancel(EventHandle& h) {
     if (h.queue_ != this || !key_pending(h.key_)) return false;
+    note_released(slot(slot_of(h.key_)).tag);
     release_slot(slot_of(h.key_));
     assert(live_ > 0);
     --live_;
@@ -140,6 +160,15 @@ class EventQueue {
     return t;
   }
 
+  /// A time no later than @p limit and no later than any live event that
+  /// bounds node @p owner: one it owns that is not an idle tick, or an
+  /// untagged one. Exact while no untagged event is pending (then the
+  /// earliest event of all stands in for them). O(1) when the owner has
+  /// no such event (live counts per owner); otherwise O(its pending
+  /// events): from its first query on, the queue keeps a lazily pruned
+  /// list of the owner's non-idle entries.
+  Time next_time_bounding(std::int32_t owner, Time limit);
+
   /// Pop the earliest live event. Pre: !empty().
   /// Returns its (time, callback); the callback is not invoked here so the
   /// engine can advance the clock first.
@@ -158,6 +187,7 @@ class EventQueue {
       remove_top();
     }
     const std::uint32_t s = slot_of(e.key);
+    note_released(slot(s).tag);
     Callback cb = std::move(slot(s).cb);
     release_slot(s);
     --live_;
@@ -199,7 +229,14 @@ class EventQueue {
     Callback cb;
     /// Occupant's key; kFreeTag | next-free-index when on the free list.
     std::uint64_t key = kFreeTag | kNoSlot;
+    /// Occupant's EventTag, packed by tag_code().
+    std::int32_t tag = kUntaggedCode;
   };
+  /// Packed EventTag: -1 untagged, else owner * 2 + idle_tick.
+  static constexpr std::int32_t kUntaggedCode = -1;
+  static std::int32_t tag_code(EventTag t) {
+    return t.owner < 0 ? kUntaggedCode : t.owner * 2 + (t.idle_tick ? 1 : 0);
+  }
   /// POD heap/lane entry; the callback stays in its slot so sifts are cheap.
   struct HeapEntry {
     Time when;
@@ -284,6 +321,41 @@ class EventQueue {
     }
   }
 
+  /// Bookkeeping for next_time_bounding(): live counts of untagged
+  /// events and of each owner's non-idle events, and the entry lists of
+  /// watched owners.
+  void note_scheduled(std::int32_t code, const HeapEntry& e) {
+    if (code == kUntaggedCode) {
+      ++untagged_live_;
+    } else if ((code & 1) == 0) {
+      const auto i = static_cast<std::size_t>(code >> 1);
+      if (i >= owners_.size()) owners_.resize(i + 1);
+      Owner& o = owners_[i];
+      ++o.live;
+      if (o.watched) watch(o, e);
+    }
+  }
+  void note_released(std::int32_t code) {
+    if (code == kUntaggedCode) {
+      --untagged_live_;
+    } else if ((code & 1) == 0) {
+      --owners_[static_cast<std::size_t>(code >> 1)].live;
+    }
+  }
+  struct Owner {
+    std::uint32_t live = 0;  ///< live non-idle events
+    bool watched = false;    ///< entries tracked in `entries`
+    /// Superset of the live non-idle entries (fired and cancelled ones are
+    /// pruned lazily, so its size stays within 2 * live + 16).
+    std::vector<HeapEntry> entries;
+  };
+  void watch(Owner& o, const HeapEntry& e) {
+    if (o.entries.size() >= 2 * static_cast<std::size_t>(o.live) + 16) {
+      std::erase_if(o.entries, [this](const HeapEntry& x) { return entry_dead(x); });
+    }
+    o.entries.push_back(e);
+  }
+
   void grow_slots();
   void heap_push(HeapEntry e);
   /// Remove heap_[0], restoring the heap property.
@@ -301,6 +373,8 @@ class EventQueue {
   std::size_t num_free_ = 0;
   std::size_t live_ = 0;
   std::uint64_t seq_ = 0;
+  std::size_t untagged_live_ = 0;
+  std::vector<Owner> owners_;
 };
 
 inline bool EventHandle::pending() const {

@@ -32,10 +32,12 @@ void Ctrl::begin(std::vector<int> forced) {
   livelock_ = false;
   livelock_at_ = 0;
   livelock_fp_ = 0;
+  if (!active_) ++active_count_;
   active_ = true;
 }
 
 std::vector<Step> Ctrl::end() {
+  if (active_) --active_count_;
   active_ = false;
   // The clock/stop hooks capture the scenario's engine; drop them before
   // the caller destroys it.

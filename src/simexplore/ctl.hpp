@@ -90,6 +90,9 @@ class Ctrl {
   Ctrl& operator=(const Ctrl&) = delete;
 
   bool active() const { return active_; }
+  /// False while no controller anywhere is between begin() and end(): the
+  /// inline check ahead of the global() lookup.
+  static bool any_active() { return active_count_ > 0; }
 
   /// Start one controlled execution: the first forced.size() multi-option
   /// choice points take the given indices, later ones take 0. Clears the
@@ -143,6 +146,7 @@ class Ctrl {
   void check_liveness(SiteKind site, std::uint64_t fingerprint);
 
   bool active_ = false;
+  static inline int active_count_ = 0;  ///< controllers with active_ set
   std::vector<int> forced_;
   std::size_t next_step_ = 0;
   std::vector<Step> trace_;
@@ -159,7 +163,7 @@ class Ctrl {
 };
 
 /// One-branch guard for instrumented call sites.
-inline bool on() { return Ctrl::global().active(); }
+inline bool on() { return Ctrl::any_active() && Ctrl::global().active(); }
 
 inline int pick(SiteKind site, int options, std::uint64_t fingerprint) {
   return Ctrl::global().pick(site, options, fingerprint);

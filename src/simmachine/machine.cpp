@@ -1,5 +1,6 @@
 #include "simmachine/machine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -10,33 +11,26 @@ Machine::Machine(sim::Engine& engine, std::string name, CacheTopology topology,
     : engine_(engine),
       name_(std::move(name)),
       metric_node_(obs::MetricsRegistry::node_id(name_)),
+      event_owner_(engine.add_owner()),
       topology_(std::move(topology)),
-      costs_(costs) {}
-
-sim::Time Machine::line_transfer_cost(int from, int to) const {
-  if (from < 0 || from == to) return 0;
-  switch (topology_.domain(from, to)) {
-    case CacheDomain::kSameCore: return 0;
-    case CacheDomain::kSharedL2: return costs_.line_shared_l2;
-    case CacheDomain::kSameChip: return costs_.line_same_chip;
-    case CacheDomain::kOtherChip: return costs_.line_other_chip;
+      costs_(costs) {
+  const int n = num_cores();
+  transfer_cost_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      sim::Time cost = 0;
+      switch (a == b ? CacheDomain::kSameCore : topology_.domain(a, b)) {
+        case CacheDomain::kSameCore: cost = 0; break;
+        case CacheDomain::kSharedL2: cost = costs_.line_shared_l2; break;
+        case CacheDomain::kSameChip: cost = costs_.line_same_chip; break;
+        case CacheDomain::kOtherChip: cost = costs_.line_other_chip; break;
+      }
+      transfer_cost_[static_cast<std::size_t>(a * n + b)] = cost;
+      max_line_transfer_ = std::max(max_line_transfer_, cost);
+    }
   }
-  return 0;
 }
 
-sim::Time Machine::touch_line(CacheLine& line, int core) {
-  assert(core >= 0 && core < num_cores());
-  const sim::Time cost = line_transfer_cost(line.owner_core, core);
-  if (cost > 0) {
-    ++line_transfers_;
-    line_transfer_time_ += cost;
-  }
-  line.owner_core = core;
-  return cost;
-}
 
-sim::Time Machine::peek_line(const CacheLine& line, int core) const {
-  return line_transfer_cost(line.owner_core, core);
-}
 
 }  // namespace pm2::mach

@@ -80,9 +80,10 @@ void Fabric::deliver_at(sim::Time earliest, sim::Time occupancy, Packet pkt) {
     // incast serialization on the receiver's side, in arrival order.
     const int dst_part =
         port_partition_[static_cast<std::size_t>(pkt.dst_port)];
+    const sim::EventTag tag = port(pkt.dst_port)->machine().event_tag();
     engine_.schedule_cross(
         dst_part, earliest,
-        [this, dst_part, occupancy, p = std::move(pkt)]() mutable {
+        [this, dst_part, occupancy, tag, p = std::move(pkt)]() mutable {
           touch_link(dst_part, p.src_port, p.dst_port, p.size());
           sim::Time& busy =
               port_busy_until_[static_cast<std::size_t>(p.dst_port)];
@@ -93,11 +94,15 @@ void Fabric::deliver_at(sim::Time earliest, sim::Time occupancy, Packet pkt) {
           if (when == now) {
             dst->enqueue_rx(std::move(p));
           } else {
-            engine_.schedule_at(when, [dst, p2 = std::move(p)]() mutable {
-              dst->enqueue_rx(std::move(p2));
-            });
+            engine_.schedule_at(
+                when,
+                [dst, p2 = std::move(p)]() mutable {
+                  dst->enqueue_rx(std::move(p2));
+                },
+                tag);
           }
-        });
+        },
+        tag);
     return;
   }
   // Output-port contention: packets from different senders converging on
@@ -106,10 +111,15 @@ void Fabric::deliver_at(sim::Time earliest, sim::Time occupancy, Packet pkt) {
   sim::Time& busy = port_busy_until_[static_cast<std::size_t>(pkt.dst_port)];
   const sim::Time when = std::max(earliest, busy + occupancy);
   busy = when;
-  engine_.schedule_at(when, [this, p = std::move(pkt)]() mutable {
-    Nic* dst = port(p.dst_port);
-    dst->enqueue_rx(std::move(p));
-  });
+  // Tagged with the receiving node: the delivery is its event.
+  const sim::EventTag tag = port(pkt.dst_port)->machine().event_tag();
+  engine_.schedule_at(
+      when,
+      [this, p = std::move(pkt)]() mutable {
+        Nic* dst = port(p.dst_port);
+        dst->enqueue_rx(std::move(p));
+      },
+      tag);
 }
 
 Nic::Nic(mach::Machine& machine, Fabric& fabric, NicParams params)
@@ -187,13 +197,16 @@ SendHandle Nic::post_send(int dst_port, Channel channel, Payload payload,
   tx_busy_until_ = wire_end;
 
   auto state = std::make_shared<bool>(false);
-  eng.schedule_at(wire_end, [this, state, done = std::move(on_wire_done)] {
-    *state = true;
-    assert(tx_inflight_ > 0);
-    --tx_inflight_;
-    if (done) done();
-    if (tx_notifier_) tx_notifier_();
-  });
+  eng.schedule_at(
+      wire_end,
+      [this, state, done = std::move(on_wire_done)] {
+        *state = true;
+        assert(tx_inflight_ > 0);
+        --tx_inflight_;
+        if (done) done();
+        if (tx_notifier_) tx_notifier_();
+      },
+      machine_.event_tag());
 
   if (timeline_ != nullptr) {
     if (size != tl_tx_size_ || dst_port != tl_tx_port_) {
@@ -324,18 +337,30 @@ std::optional<Packet> Nic::poll() {
       if (!rx_rings_[q].empty()) return poll(static_cast<int>(q));
     }
   }
-  ++polls_empty_;
-  m_polls_empty_.inc();
-  charge_ctx(params_.poll_empty_cost);
+  poll_empty();
   return std::nullopt;
+}
+
+void Nic::poll_empty() {
+  note_empty_poll(this, 0);
+  if (auto* ctx = mth::ExecContext::current_or_null()) {
+    ctx->charge(params_.poll_empty_cost);
+    if (ctx->dry_journal != nullptr) {
+      ctx->dry_journal->add_step(&Nic::note_empty_poll, this);
+    }
+  }
+}
+
+void Nic::note_empty_poll(void* self, sim::Time /*now*/) {
+  Nic& nic = *static_cast<Nic*>(self);
+  ++nic.polls_empty_;
+  nic.m_polls_empty_.inc();
 }
 
 std::optional<Packet> Nic::poll(int q) {
   auto& ring = rx_rings_[static_cast<std::size_t>(q)];
   if (ring.empty()) {
-    ++polls_empty_;
-    m_polls_empty_.inc();
-    charge_ctx(params_.poll_empty_cost);
+    poll_empty();
     return std::nullopt;
   }
   ++polls_hit_;

@@ -237,6 +237,10 @@ class Nic {
   friend class Fabric;
   void enqueue_rx(Packet pkt);
   std::int64_t total_rx_depth() const;
+  /// An empty poll: counted, charged, and journaled for idle replay.
+  void poll_empty();
+  /// An empty poll's counter effects (a mth::DryJournal step).
+  static void note_empty_poll(void* self, sim::Time now);
 
   mach::Machine& machine_;
   Fabric& fabric_;

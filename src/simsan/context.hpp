@@ -14,7 +14,7 @@
 
 namespace pm2::san {
 
-inline bool on() { return Analyzer::global().enabled(); }
+inline bool on() { return Analyzer::on(); }
 
 /// The analyzer actor for an execution context. Thread contexts are stable
 /// actors keyed by their ThreadContext; hook/tasklet contexts collapse onto

@@ -238,6 +238,7 @@ void Analyzer::set_enabled(bool on) {
     m_cycles_ = reg.counter(kCycles.at(obs::kProcessWide));
     m_ctx_ = reg.counter(kCtx.at(obs::kProcessWide));
   }
+  if (on != enabled_) enabled_count_ += on ? 1 : -1;
   enabled_ = on;
 }
 

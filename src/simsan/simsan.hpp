@@ -148,6 +148,10 @@ class Analyzer {
   /// (zeroing them); disabling leaves findings readable until reset().
   void set_enabled(bool on);
 
+  /// True if the calling thread's shard is enabled. Inline: while no
+  /// analyzer anywhere is enabled, one load of a process-wide count.
+  static bool on() { return enabled_count_ > 0 && global().enabled(); }
+
   /// Wipe all analysis state and findings and start a fresh run. Embedded
   /// SlotTags from previous runs are invalidated by the epoch bump.
   void reset();
@@ -259,6 +263,9 @@ class Analyzer {
   std::string lock_names(const std::vector<std::uint32_t>& locks) const;
 
   bool enabled_ = false;
+  /// Analyzers currently enabled, process-wide (changed by set_enabled on
+  /// the setup thread, before any worker starts).
+  static inline int enabled_count_ = 0;
   std::uint32_t epoch_ = 1;
   std::function<std::uint64_t()> now_fn_;
 

@@ -15,13 +15,97 @@
 // shared primitives work identically in both worlds.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <vector>
 
 #include "simcore/partition.hpp"
 #include "simcore/time.hpp"
 #include "simmachine/machine.hpp"
 
 namespace pm2::mth {
+
+/// What one idle pass did, kept so that the scheduler can replay further
+/// passes of a quiet node without running them as engine events (the idle
+/// fast-forward, see Scheduler::idle_tick and DESIGN.md).
+///
+/// A *dry* pass changes no simulated state. It only charges CPU time,
+/// moves cache lines (lock words) to its core and advances counters. The
+/// journal keeps exactly those three things:
+///  * the lines the pass touched, recorded by ExecContext::touch;
+///  * its charge net of line transfers, set by seal();
+///  * counter steps, recorded by each site that advances a counter.
+/// Every idle hook must vouch() for its share of the pass; any site that
+/// did something a replay cannot repeat spoil()s the journal.
+class DryJournal {
+ public:
+  /// Re-applies one site's counter effects of a dry pass at virtual @p now.
+  using Step = void (*)(void* site, sim::Time now);
+
+  void clear() {
+    steps_.clear();
+    lines_.clear();
+    transfer_cost_ = 0;
+    fixed_cost_ = 0;
+    vouches_ = 0;
+    spoiled_ = false;
+  }
+
+  void add_step(Step fn, void* site) { steps_.push_back({fn, site}); }
+  void add_line(mach::CacheLine* line, sim::Time cost) {
+    transfer_cost_ += cost;
+    // Later touches of a line within one pass are free (same core).
+    if (std::find(lines_.begin(), lines_.end(), line) == lines_.end()) {
+      lines_.push_back(line);
+    }
+  }
+  void vouch() { ++vouches_; }
+  void spoil() { spoiled_ = true; }
+
+  /// Close the record of a pass that consumed @p consumed in total.
+  void seal(sim::Time consumed) { fixed_cost_ = consumed - transfer_cost_; }
+
+  /// True if each of @p hooks idle hooks vouched and nothing spoiled.
+  bool proves_dry(std::size_t hooks) const {
+    return !spoiled_ && vouches_ == hooks;
+  }
+
+  /// Charge of a replay on @p core, with the lines where they are now.
+  /// Read-only.
+  sim::Time price(const mach::Machine& m, int core) const {
+    sim::Time t = fixed_cost_;
+    for (const mach::CacheLine* l : lines_) t += m.peek_line(*l, core);
+    return t;
+  }
+
+  /// Upper bound of price() on any core.
+  sim::Time max_price(const mach::Machine& m) const {
+    return fixed_cost_ + static_cast<sim::Time>(lines_.size()) *
+                             m.max_line_transfer();
+  }
+
+  /// Replay one pass on @p core at virtual @p now: move the lines (and
+  /// count their transfers) and advance the counters. Returns its charge,
+  /// equal to price() just before.
+  sim::Time replay(mach::Machine& m, int core, sim::Time now) const {
+    sim::Time t = fixed_cost_;
+    for (mach::CacheLine* l : lines_) t += m.touch_line(*l, core);
+    for (const auto& s : steps_) s.fn(s.site, now);
+    return t;
+  }
+
+ private:
+  struct Entry {
+    Step fn;
+    void* site;
+  };
+  std::vector<Entry> steps_;
+  std::vector<mach::CacheLine*> lines_;
+  sim::Time transfer_cost_ = 0;
+  sim::Time fixed_cost_ = 0;
+  std::size_t vouches_ = 0;
+  bool spoiled_ = false;
+};
 
 class ExecContext {
  public:
@@ -42,8 +126,14 @@ class ExecContext {
   /// Access a tagged shared cache line: charges the inter-core transfer
   /// cost (if any) and retags the line to this core.
   void touch(mach::CacheLine& line) {
-    charge(machine().touch_line(line, core()));
+    const sim::Time cost = machine().touch_line(line, core());
+    if (dry_journal != nullptr) dry_journal->add_line(&line, cost);
+    charge(cost);
   }
+
+  /// Set only on the HookContext of an idle pass that the scheduler may
+  /// fast-forward: sites with effects record them here (see DryJournal).
+  DryJournal* dry_journal = nullptr;
 
   /// simsan actor cache (see simsan/context.hpp): the interned actor id
   /// for this context, valid while san_epoch matches the analyzer's epoch.

@@ -138,7 +138,8 @@ int Scheduler::choose_core(const Thread* t) const {
 void Scheduler::kick(int core) {
   Core& c = cores_[static_cast<std::size_t>(core)];
   if (c.kick_event.pending()) return;
-  c.kick_event = engine().schedule_after(0, [this, core] { dispatch(core); });
+  c.kick_event = engine().schedule_after(
+      0, [this, core] { dispatch(core); }, machine_.event_tag());
 }
 
 void Scheduler::dispatch(int core) {
@@ -181,7 +182,8 @@ void Scheduler::dispatch(int core) {
   t->state_ = ThreadState::kRunning;
   if (cost > 0) {
     c.busy_time += cost;
-    engine().schedule_after(cost, [this, core, t] { begin_run(core, t); });
+    engine().schedule_after(
+        cost, [this, core, t] { begin_run(core, t); }, machine_.event_tag());
   } else {
     begin_run(core, t);
   }
@@ -336,7 +338,8 @@ void Scheduler::wake(Thread* t) {
   if (auto* ctx = ExecContext::current_or_null();
       ctx != nullptr && !ctx->can_block()) {
     const sim::Time delay = static_cast<HookContext*>(ctx)->consumed();
-    engine().schedule_after(delay, [this, t] { wake(t); });
+    engine().schedule_after(
+        delay, [this, t] { wake(t); }, machine_.event_tag());
     return;
   }
   switch (t->state_) {
@@ -386,20 +389,24 @@ void Scheduler::spin_unpark(Thread* t, sim::Time detect_delay) {
   if (auto* ctx = ExecContext::current_or_null();
       ctx != nullptr && !ctx->can_block()) {
     const sim::Time delay = static_cast<HookContext*>(ctx)->consumed();
-    engine().schedule_after(delay + detect_delay,
-                            [this, t] { spin_unpark(t, 0); });
+    engine().schedule_after(
+        delay + detect_delay, [this, t] { spin_unpark(t, 0); },
+        machine_.event_tag());
     return;
   }
   if (!t->spin_parked_) return;
   t->spin_parked_ = false;
-  engine().schedule_after(detect_delay, [this, t] {
-    Core& c = cores_[static_cast<std::size_t>(t->core_)];
-    assert(c.current == t);
-    const sim::Time spent = engine().now() - t->spin_start_;
-    c.busy_time += spent;
-    t->cpu_time_ += spent;
-    resume_fiber(t->core_, t);
-  });
+  engine().schedule_after(
+      detect_delay,
+      [this, t] {
+        Core& c = cores_[static_cast<std::size_t>(t->core_)];
+        assert(c.current == t);
+        const sim::Time spent = engine().now() - t->spin_start_;
+        c.busy_time += spent;
+        t->cpu_time_ += spent;
+        resume_fiber(t->core_, t);
+      },
+      machine_.event_tag());
 }
 
 void Scheduler::yield() {
@@ -427,10 +434,13 @@ void Scheduler::sleep_for(sim::Time dt) {
   Thread* t = running_;
   assert(t != nullptr && "sleep_for outside a thread");
   assert(dt >= 0);
-  engine().schedule_after(dt, [this, t] {
-    if (t->state_ != ThreadState::kSleeping) return;  // woken early
-    enqueue(choose_core(t), t);
-  });
+  engine().schedule_after(
+      dt,
+      [this, t] {
+        if (t->state_ != ThreadState::kSleeping) return;  // woken early
+        enqueue(choose_core(t), t);
+      },
+      machine_.event_tag());
   t->suspend_reason_ = SuspendReason::kSleep;
   t->fiber_.suspend();
 }
@@ -467,7 +477,8 @@ void Scheduler::charge_current(sim::Time dt) {
   // The wake-up would be the next event anyway: keep running at now + dt.
   if (engine().try_advance(engine().now() + dt)) return;
   const int core = t->core_;
-  engine().schedule_after(dt, [this, core, t] { resume_fiber(core, t); });
+  engine().schedule_after(
+      dt, [this, core, t] { resume_fiber(core, t); }, machine_.event_tag());
   t->suspend_reason_ = SuspendReason::kCharge;
   t->fiber_.suspend();
 }
@@ -540,9 +551,10 @@ void Scheduler::remove_switch_hook(int id) { remove_hook(switch_hooks_, id); }
 void Scheduler::remove_timer_hook(int id) { remove_hook(timer_hooks_, id); }
 
 sim::Time Scheduler::run_hooks(std::vector<std::pair<int, Hook>>& hooks,
-                               int core) {
+                               int core, DryJournal* journal) {
   if (hooks.empty()) return 0;
   HookContext hctx(machine_, core);
+  hctx.dry_journal = journal;
   return hctx.run([&] {
     for (auto& [id, h] : hooks) {
       (void)id;
@@ -565,7 +577,7 @@ void Scheduler::notify_idle_work() {
   for (Core& c : cores_) {
     if (c.current == nullptr && c.runqueue.empty() &&
         !c.idle_event.pending() && hooks_want(idle_hooks_, c.id)) {
-      arm_idle(c, 0);
+      arm_idle(c, engine().now());
     }
   }
 }
@@ -574,25 +586,32 @@ void Scheduler::enter_idle(Core& c) {
   c.next_tick = sim::kTimeInfinity;
   if (live_threads_ > 0 && !c.idle_event.pending() &&
       hooks_want(idle_hooks_, c.id)) {
-    arm_idle(c, 0);
+    arm_idle(c, engine().now());
   }
 }
 
-void Scheduler::arm_idle(Core& c, sim::Time delay) {
+void Scheduler::arm_idle(Core& c, sim::Time when) {
   const int core = c.id;
-  c.idle_event = engine().schedule_after(delay, [this, core] { idle_tick(core); });
+  c.idle_at = when;
+  c.idle_event =
+      engine().schedule_at(when, [this, core] { idle_tick(core); },
+                           sim::EventTag::idle(machine_.event_owner()));
 }
 
 void Scheduler::idle_tick(int core) {
   Core& c = cores_[static_cast<std::size_t>(core)];
-  (void)c;
   if (c.current != nullptr) return;
   if (!c.runqueue.empty()) {
     kick(core);
     return;
   }
   if (!idle_hooks_.empty()) c.m_idle_hook_runs.inc();
-  const sim::Time consumed = run_hooks(idle_hooks_, core);
+  DryJournal* journal = nullptr;
+  if (fast_forward_on()) {
+    journal = &journal_;
+    journal->clear();
+  }
+  const sim::Time consumed = run_hooks(idle_hooks_, core, journal);
   c.hook_time += consumed;
   c.hooks_since_dispatch = true;
   if (timeline_ != nullptr && consumed > 0) {
@@ -600,8 +619,92 @@ void Scheduler::idle_tick(int core) {
                               engine().now(), consumed);
   }
   if (live_threads_ > 0 && hooks_want(idle_hooks_, core)) {
-    arm_idle(c, std::max(consumed, costs().idle_poll_period));
+    const sim::Time next =
+        engine().now() + std::max(consumed, costs().idle_poll_period);
+    if (journal != nullptr && journal->proves_dry(idle_hooks_.size())) {
+      journal->seal(consumed);
+      if (fast_forward(core, next)) return;
+    }
+    arm_idle(c, next);
   }
+}
+
+bool Scheduler::fast_forward_on() const {
+  // Observers that record every pass (timeline spans, simsan, schedule
+  // exploration) keep the per-tick path.
+  return ff_latency_ > 0 && timeline_ == nullptr && !san::on() && !xpl::on();
+}
+
+// Idle fast-forward. The pass that just ran on `core` at t proved this node
+// dry: until something other than an idle pass runs here, every idle pass
+// of every core is the same pass, so it is replayed from the journal in a
+// tight loop instead of as one engine event each. Passes are replayed in
+// the order the engine would have run them: by time, then by arm order
+// (pending ticks by their event order, then the ticks this loop re-arms,
+// in the order it re-arms them). Replay stops strictly before
+//  * H, the node's next pending non-idle event or the run/window limit
+//    (Engine::idle_horizon) -- only idle passes run here before it;
+//  * t + L, L the minimum node-to-node latency -- nothing another node
+//    does from t on reaches this node earlier;
+// and at the first tick whose successor would be due at or after t + L.
+// So every tick armed here as a real event is due before t + L, where no
+// event scheduled later can tie with it, and every tick of the same time
+// keeps its order. Returns false (the caller arms `next` as usual) if no
+// pass could be replayed.
+bool Scheduler::fast_forward(int core, sim::Time next) {
+  const sim::Time t = engine().now();
+  const sim::Time period = costs().idle_poll_period;
+  // A tick whose successor can be due L or more later could tie with a
+  // delivery sent at its own time; keep such configurations per tick.
+  if (std::max(journal_.max_price(machine_), period) >= ff_latency_) {
+    return false;
+  }
+  const sim::Time reach = t + ff_latency_;
+  const sim::Time horizon =
+      std::min(engine().idle_horizon(machine_.event_owner()), reach);
+  if (horizon <= t) return false;
+
+  auto& ticks = ff_ticks_;
+  ticks.clear();
+  for (const Core& k : cores_) {
+    if (k.id != core && k.idle_event.pending()) {
+      ticks.push_back(FfTick{k.idle_at, false, k.idle_event.order(), k.id});
+    }
+  }
+  std::uint64_t rearms = 0;
+  ticks.push_back(FfTick{next, true, rearms++, core});
+  auto before = [](const FfTick& a, const FfTick& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.rearmed != b.rearmed) return b.rearmed;
+    return a.order < b.order;
+  };
+
+  std::uint64_t replayed = 0;
+  for (;;) {
+    FfTick& k = *std::min_element(ticks.begin(), ticks.end(), before);
+    if (k.at >= horizon) break;
+    Core& kc = cores_[static_cast<std::size_t>(k.core)];
+    const sim::Time price = journal_.price(machine_, k.core);
+    const sim::Time succ = k.at + std::max(price, period);
+    if (succ >= reach) break;
+    const sim::Time consumed = journal_.replay(machine_, k.core, k.at);
+    assert(consumed == price);
+    kc.m_idle_hook_runs.inc();
+    kc.hook_time += consumed;
+    kc.hooks_since_dispatch = true;
+    if (!k.rearmed) engine().cancel(kc.idle_event);
+    k = FfTick{succ, true, rearms++, k.core};
+    ++replayed;
+  }
+  if (replayed == 0) return false;
+  engine().note_elided_ticks(replayed);
+  // Arm the re-armed ticks as real events, in arm order.
+  std::sort(ticks.begin(), ticks.end(),
+            [](const FfTick& a, const FfTick& b) { return a.order < b.order; });
+  for (const FfTick& k : ticks) {
+    if (k.rearmed) arm_idle(cores_[static_cast<std::size_t>(k.core)], k.at);
+  }
+  return true;
 }
 
 // --- stats ---------------------------------------------------------------------

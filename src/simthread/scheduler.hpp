@@ -39,6 +39,13 @@ namespace pm2::mth {
 /// A progression hook. `run` performs (and prices, via the HookContext) a
 /// bounded amount of work; `want` reports whether the hook has potential
 /// work for a core, which gates the idle loop's re-arming.
+///
+/// Idle fast-forward: when an idle pass runs with a DryJournal attached to
+/// its context (HookContext::dry_journal), an idle hook that can prove its
+/// share of the pass dry calls DryJournal::vouch(). Its proof must hold for
+/// every core of the node, and it must stay true until something other than
+/// an idle pass runs on the node. A hook that never vouches keeps the idle
+/// loop on the per-tick path.
 struct Hook {
   std::function<void(HookContext&)> run;
   std::function<bool(int core)> want;  ///< may be null => "never pending"
@@ -75,6 +82,15 @@ class Scheduler {
 
   /// Tell idle cores that hook work may now be pending (re-arms idle loops).
   void notify_idle_work();
+
+  /// Turn on the dry idle-poll fast-forward (see idle_tick and DESIGN.md).
+  /// @p min_latency is the least virtual time anything done on another
+  /// node takes to reach this one (the fabric's tx DMA + wire + rx
+  /// delivery); 0 keeps it off, the default for worlds not built by
+  /// nm::Cluster.
+  void set_idle_fast_forward(sim::Time min_latency) {
+    ff_latency_ = min_latency;
+  }
 
   /// Number of threads spawned and not yet finished.
   int live_threads() const { return live_threads_; }
@@ -147,6 +163,7 @@ class Scheduler {
     Thread* last_run = nullptr;  ///< for switch-cost accounting
     sim::EventHandle kick_event;
     sim::EventHandle idle_event;
+    sim::Time idle_at = 0;  ///< due time of idle_event while it is pending
     sim::Time next_tick = sim::kTimeInfinity;
     sim::Time busy_time = 0;
     sim::Time hook_time = 0;
@@ -172,10 +189,13 @@ class Scheduler {
   void post_resume(int core, Thread* t);
   void finish_thread(int core, Thread* t);
   void enter_idle(Core& c);
-  void arm_idle(Core& c, sim::Time delay);
+  void arm_idle(Core& c, sim::Time when);
   void idle_tick(int core);
+  bool fast_forward_on() const;
+  bool fast_forward(int core, sim::Time next);
   void run_timer_tick_inline(Thread* t);
-  sim::Time run_hooks(std::vector<std::pair<int, Hook>>& hooks, int core);
+  sim::Time run_hooks(std::vector<std::pair<int, Hook>>& hooks, int core,
+                      DryJournal* journal = nullptr);
   bool hooks_want(const std::vector<std::pair<int, Hook>>& hooks, int core) const;
   void on_all_done();
   void ensure_timer_armed();
@@ -197,6 +217,17 @@ class Scheduler {
   std::uint64_t total_switches_ = 0;
   sim::ChromeTrace* timeline_ = nullptr;
   int timeline_pid_ = 0;
+  /// Idle fast-forward: minimum node-to-node latency (0 = off), the
+  /// journal of the current idle pass, and the replay loop's tick set.
+  sim::Time ff_latency_ = 0;
+  DryJournal journal_;
+  struct FfTick {
+    sim::Time at;
+    bool rearmed;         ///< re-armed by this fast-forward (else pending)
+    std::uint64_t order;  ///< tie order among ticks of the same kind
+    int core;
+  };
+  std::vector<FfTick> ff_ticks_;
   // Interned-id caches for the per-slice span emission (hot path): filled
   // in set_timeline so steady-state spans never touch the string table.
   std::uint16_t tl_cat_thread_ = 0;

@@ -118,9 +118,12 @@ void CompletionFlag::wait_fixed_spin(sim::Time spin_budget) {
   mth::Thread* self = sched_.current_thread();
   auto it = waiters_.insert(waiters_.end(), Waiter{self, Mode::kSpin});
   // Spin for the budget; if the flag is still unset, fall back to blocking.
-  auto timeout = sched_.engine().schedule_after(spin_budget, [this, self] {
-    if (!done_ && sched_.spin_parked(self)) sched_.spin_unpark(self, 0);
-  });
+  auto timeout = sched_.engine().schedule_after(
+      spin_budget,
+      [this, self] {
+        if (!done_ && sched_.spin_parked(self)) sched_.spin_unpark(self, 0);
+      },
+      sched_.machine().event_tag());
   sched_.spin_park();
   sched_.engine().cancel(timeout);
   if (done_) {

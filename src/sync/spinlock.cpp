@@ -125,7 +125,20 @@ bool SpinLock::try_lock() {
   if (held_) return false;
   held_ = true;
   note_acquired(/*blocking=*/false);
+  // In a dry idle pass this acquisition is released before the pass ends,
+  // with no spinner to hand over to (unlock() spoils the journal if there
+  // is one): one uncontended cycle.
+  if (ctx.dry_journal != nullptr) {
+    ctx.dry_journal->add_step(&SpinLock::note_dry_cycle, this);
+  }
   return true;
+}
+
+void SpinLock::note_dry_cycle(void* self, sim::Time /*now*/) {
+  // Registry hold time of a hook-context cycle is 0 ns: no counter moves.
+  SpinLock& l = *static_cast<SpinLock*>(self);
+  ++l.acquisitions_;
+  l.m_acquisitions_.inc();
 }
 
 void SpinLock::san_acquired(bool blocking) {
@@ -146,6 +159,10 @@ void SpinLock::unlock() {
   }
   charge_if_ctx(sched_.costs().spin_release);
   if (!spinners_.empty()) {
+    if (auto* ctx = mth::ExecContext::current_or_null();
+        ctx != nullptr && ctx->dry_journal != nullptr) {
+      ctx->dry_journal->spoil();  // the hand-over schedules an event
+    }
     // Schedule-exploration choice point: which parked spinner this release
     // wakes (or hands off to). Default 0 keeps the FIFO order.
     if (xpl::on() && spinners_.size() > 1) {

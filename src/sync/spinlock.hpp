@@ -65,13 +65,16 @@ class SpinLock {
   void note_acquired(bool blocking) {
     ++acquisitions_;
     m_acquisitions_.inc();
-    if (obs::MetricsRegistry::global().enabled()) {
+    if (obs::MetricsRegistry::active() != nullptr) {
       acquired_at_ = sched_.engine().now();
     }
-    if (san::Analyzer::global().enabled()) san_acquired(blocking);
+    if (san::Analyzer::on()) san_acquired(blocking);
   }
   void san_acquired(bool blocking);
   void san_released();
+  /// Counter effects of one try_lock()/unlock() cycle in a dry idle pass
+  /// (a mth::DryJournal step).
+  static void note_dry_cycle(void* self, sim::Time now);
 
   mth::Scheduler& sched_;
   const std::string* name_;  ///< the interned label (process lifetime)

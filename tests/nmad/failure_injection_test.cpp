@@ -2,7 +2,10 @@
 // must be contained (dropped / rejected), never corrupt matching state.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nmad/cluster.hpp"
+#include "nmad/wire_format.hpp"
 
 namespace pm2::nm {
 namespace {
@@ -97,6 +100,107 @@ TEST(FailureInjection, ChunkCountLyingAboutContentIsContained) {
   });
   world.run();
   EXPECT_TRUE(delivered);
+}
+
+// --- chunks that decode but lie about their message ----------------------
+//
+// The decoder accepts any byte range; the core checks each chunk against
+// the message it claims to belong to and drops the liars with a warning
+// (Core::Stats::dropped_chunks), where they used to reach an abort.
+
+/// One packet carrying @p h, with filler data (or none, when @p placed).
+net::Payload lying_packet(const ChunkHeader& h, bool placed = false) {
+  PacketBuilder b;
+  const std::vector<std::uint8_t> data(h.chunk_len, 0xAB);
+  if (placed) {
+    b.add_chunk_placed(h);
+  } else {
+    b.add_chunk(h, h.chunk_len > 0 ? data.data() : nullptr);
+  }
+  return b.take();
+}
+
+/// Node 0 injects @p bad straight into its NIC, then sends a real message;
+/// node 1 must drop every injected chunk and still receive it.
+void expect_dropped(const std::vector<net::Payload>& bad,
+                    std::uint64_t drops = 1) {
+  nm::ClusterConfig cfg;
+  nm::Cluster world(cfg);
+  world.spawn(0, [&world, &bad] {
+    for (const auto& p : bad) world.nic(0, 0).post_send(1, 0, p);
+    world.sched(0).work(sim::microseconds(20));
+    std::uint8_t v = 9;
+    world.core(0).send(world.gate(0, 1), 1, &v, 1);
+  });
+  std::uint8_t got = 0;
+  world.spawn(1, [&world, &got] {
+    world.core(1).recv(world.gate(1, 0), 1, &got, 1);
+  });
+  world.run();
+  EXPECT_EQ(got, 9);
+  EXPECT_EQ(world.core(1).stats().dropped_chunks, drops);
+  EXPECT_EQ(world.core(0).stats().dropped_chunks, 0u);
+}
+
+ChunkHeader eager(std::uint32_t seq, std::uint32_t offset, std::uint32_t len,
+                  std::uint32_t total) {
+  ChunkHeader h;
+  h.kind = ChunkKind::kEager;
+  h.tag = 77;
+  h.msg_seq = seq;
+  h.offset = offset;
+  h.chunk_len = len;
+  h.total_len = total;
+  return h;
+}
+
+TEST(ChunkValidation, CtsForUnknownCookieIsDropped) {
+  ChunkHeader h;
+  h.kind = ChunkKind::kCts;
+  h.tag = 77;
+  h.msg_seq = 500;
+  h.cookie = 0xBADC00C1Eull;
+  expect_dropped({lying_packet(h)});
+}
+
+TEST(ChunkValidation, UnexpectedChunkPastTotalLengthIsDropped) {
+  expect_dropped({lying_packet(eager(500, 0, 8, 4))});
+}
+
+TEST(ChunkValidation, ChunkPastEarlierPieceOfItsMessageIsDropped) {
+  // The first piece fixes the unexpected message at 4 bytes; the second
+  // claims a longer message and lands past those 4.
+  expect_dropped({lying_packet(eager(500, 0, 2, 4)),
+                  lying_packet(eager(500, 2, 6, 16))});
+}
+
+TEST(ChunkValidation, PlacedChunkArrivingUnexpectedIsDropped) {
+  ChunkHeader h = eager(500, 0, 16, 16);
+  h.kind = ChunkKind::kRdvData;
+  expect_dropped({lying_packet(h, /*placed=*/true)});
+}
+
+TEST(ChunkValidation, ChunkPastBoundReceiveIsDropped) {
+  // A posted 4-byte receive binds to message 500 from its first piece; a
+  // second piece claims a 100-byte message and an offset past the buffer.
+  // The true last piece then completes the receive.
+  nm::ClusterConfig cfg;
+  nm::Cluster world(cfg);
+  world.spawn(0, [&world] {
+    world.sched(0).work(sim::microseconds(5));  // the receive is posted
+    world.nic(0, 0).post_send(1, 0, lying_packet(eager(500, 0, 2, 4)));
+    world.nic(0, 0).post_send(1, 0, lying_packet(eager(500, 50, 10, 100)));
+    world.nic(0, 0).post_send(1, 0, lying_packet(eager(500, 2, 2, 4)));
+  });
+  std::vector<std::uint8_t> buf(4, 0);
+  std::size_t len = 0;
+  world.spawn(1, [&world, &buf, &len] {
+    len = world.core(1).recv(world.gate(1, 0), 77, buf.data(), buf.size());
+  });
+  world.run();
+  EXPECT_EQ(len, 4u);
+  EXPECT_EQ(buf, std::vector<std::uint8_t>(4, 0xAB));
+  EXPECT_EQ(world.core(1).stats().dropped_chunks, 1u);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // executes every charge as a scheduled wake-up event -- the reference
 // schedule. Driving the same world with run() (where a charge whose
 // wake-up is the next event keeps running instead) must end at the same
-// virtual time with the same flow-trace bytes, and each run-ahead must
-// stand for exactly one event the step() loop executed.
+// virtual time with the same flow-trace bytes, and each run-ahead (and
+// each idle pass the scheduler fast-forwarded) must stand for exactly one
+// event the step() loop executed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +28,7 @@ struct Outcome {
   sim::Time end = 0;
   std::uint64_t events = 0;
   std::uint64_t run_aheads = 0;
+  std::uint64_t elided = 0;
   std::vector<char> trace;
 };
 
@@ -87,6 +89,7 @@ Outcome run_world(const ClusterConfig& cfg, bool compute, Drive drive,
   out.end = world.engine().now();
   out.events = world.engine().events_executed();
   out.run_aheads = world.engine().run_aheads();
+  out.elided = world.engine().elided_ticks();
   out.trace = read_file(path);
   std::remove(path.c_str());
   return out;
@@ -102,7 +105,8 @@ void expect_same_schedule(const ClusterConfig& cfg, bool compute,
   EXPECT_EQ(stepped.run_aheads, 0u);
   EXPECT_GT(ran.run_aheads, 0u) << "the world never ran ahead";
   EXPECT_EQ(ran.end, stepped.end);
-  EXPECT_EQ(ran.events + ran.run_aheads, stepped.events);
+  EXPECT_EQ(stepped.elided, 0u);
+  EXPECT_EQ(ran.events + ran.run_aheads + ran.elided, stepped.events);
   ASSERT_FALSE(ran.trace.empty());
   EXPECT_TRUE(ran.trace == stepped.trace) << "flow traces differ";
 }
