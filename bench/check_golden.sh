@@ -2,12 +2,13 @@
 # Golden-digest gate: every virtual-time output the repository publishes
 # must stay byte-identical across host-side optimizations. Runs the figure
 # benches, the ablations, sec33_corewaste and app_hybrid at their default
-# configuration, fig3 on the multi-endpoint and multi-queue paths, each
-# figure bench partitioned with simsan on, and the two hook-progress figures
-# (fig7, fig9) partitioned with no timeline and no simsan -- the runs where
-# the scheduler's dry idle-poll fast-forward is active; hashes stdout, CSV,
-# metrics JSON and the Chrome-trace JSON of every run; and compares the
-# hashes with the committed bench/golden_digests.txt.
+# configuration, every figure bench on the multi-endpoint and multi-queue
+# paths, each figure bench partitioned with simsan on, and the two
+# hook-progress figures (fig7, fig9) partitioned with no timeline and no
+# simsan -- the runs where the scheduler's dry idle-poll fast-forward is
+# active; hashes stdout, CSV, metrics JSON and the Chrome-trace JSON of
+# every run; and compares the hashes with the committed
+# bench/golden_digests.txt.
 #
 # The .trace.bin of partitioned runs is not hashed: its ring packing and
 # string-intern order depend on host thread interleaving (see
@@ -62,8 +63,14 @@ done
 for b in $stdout_only; do
   run "$b" "$b"
 done
-run fig3_locking.ep4 fig3_locking --endpoints=4 $files
-run fig3_locking.ep4.rxq4 fig3_locking --endpoints=4 --rx-queues=4 $files
+# Multi-endpoint progress at N = 4 over one shared RX queue and over four
+# per-endpoint rings: the blocking/stealing pass (fig3, fig5), PIOMan hook
+# polls (fig6), passive and fixed-spin waits (fig7), per-endpoint poll
+# threads (fig8) and the submission-only tasklet (fig9).
+for b in $figs; do
+  run "$b.ep4" "$b" --endpoints=4 $files
+  run "$b.ep4.rxq4" "$b" --endpoints=4 --rx-queues=4 $files
+done
 for b in $figs; do
   run "$b.p2w2.simsan" "$b" --partitions=2 --workers=2 --simsan=on $files
 done
