@@ -195,30 +195,17 @@ void BM_PingpongEndToEndSimsan(benchmark::State& state) {
 }
 BENCHMARK(BM_PingpongEndToEndSimsan)->Unit(benchmark::kMillisecond);
 
-void pingpong_traced_body(benchmark::State& state, bool legacy) {
+void BM_PingpongEndToEndTraced(benchmark::State& state) {
   // Same workload with the full observability surface on -- Chrome-trace
   // timeline (scheduler spans, NIC tx/rx) plus flow-lifecycle stamps --
-  // through either the lock-free binary trace rings (default) or the
-  // mutexed direct-JSON fallback. The spread between the two variants is
-  // the hot-path win of the ring sink; ctest `trace_overhead` asserts the
-  // ring variant stays within 3% of BM_PingpongEndToEnd.
-  nm::ClusterConfig cfg;
-  cfg.legacy_trace = legacy;
-  pingpong_end_to_end(state, cfg, [](nm::Cluster& world) {
+  // through the lock-free binary trace rings; ctest `trace_overhead`
+  // asserts it stays within 3% of BM_PingpongEndToEnd.
+  pingpong_end_to_end(state, nm::ClusterConfig{}, [](nm::Cluster& world) {
     world.enable_timeline();
     world.enable_flow_trace();
   });
 }
-
-void BM_PingpongEndToEndTraced(benchmark::State& state) {
-  pingpong_traced_body(state, /*legacy=*/false);
-}
 BENCHMARK(BM_PingpongEndToEndTraced)->Unit(benchmark::kMillisecond);
-
-void BM_PingpongEndToEndTracedLegacy(benchmark::State& state) {
-  pingpong_traced_body(state, /*legacy=*/true);
-}
-BENCHMARK(BM_PingpongEndToEndTracedLegacy)->Unit(benchmark::kMillisecond);
 
 /// PIOMan idle polling under passive waits: two nodes exchange 64 KB
 /// (rendezvous) messages, one thread each, so while a message is on the

@@ -27,24 +27,13 @@ fi
 
 echo "wrote $repo_root/BENCH_engine.json"
 
-# The baseline includes BM_PingpongEndToEnd both with the metrics registry
-# off and on (BM_PingpongEndToEndMetrics); print the median pair so the
-# instrumentation overhead is visible at record time. The hard <3% gate is
-# the `metrics_overhead` ctest.
+# The baseline includes BM_PingpongEndToEnd with the metrics registry off,
+# on (BM_PingpongEndToEndMetrics) and with timeline + flow tracing through
+# the trace rings (BM_PingpongEndToEndTraced); print the medians so the
+# instrumentation overhead is visible at record time. The hard <3% gates
+# are the `metrics_overhead` and `trace_overhead` ctests.
 awk '
-  /"name": "BM_PingpongEndToEnd(Metrics)?_median"/ { want = 1; name = $2 }
-  want && /"real_time":/ {
-    gsub(/[",]/, "", name); gsub(/,/, "", $2)
-    printf "  %-34s %.3f ms\n", name, $2
-    want = 0
-  }
-' "$repo_root/BENCH_engine.json"
-
-# Full-tracing cost: the pingpong run with timeline + flow tracing through
-# the lock-free trace rings vs the legacy direct-JSON recorder. The hard
-# <3% ring gate is the `trace_overhead` ctest.
-awk '
-  /"name": "BM_PingpongEndToEndTraced(Legacy)?_median"/ { want = 1; name = $2 }
+  /"name": "BM_PingpongEndToEnd(Metrics|Traced)?_median"/ { want = 1; name = $2 }
   want && /"real_time":/ {
     gsub(/[",]/, "", name); gsub(/,/, "", $2)
     printf "  %-34s %.3f ms\n", name, $2

@@ -19,6 +19,17 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.rx_queues < 1 || cfg_.rx_queues > 256) {
     throw std::invalid_argument("Cluster: rx_queues must be in [1, 256]");
   }
+  // A passive waiter never progresses, and offloaded submission never
+  // drains a receive: with no full hook pass left to do it (idle-core
+  // hooks only submit), no wait would ever complete.
+  if (cfg_.nm.wait == WaitMode::kPassive &&
+      (cfg_.nm.progress == ProgressMode::kIdleCoreOffload ||
+       (cfg_.nm.progress == ProgressMode::kTaskletOffload &&
+        !cfg_.pioman_hooks))) {
+    throw std::invalid_argument(
+        "Cluster: passive waits need receive-side progress (kTaskletOffload "
+        "needs pioman_hooks; kIdleCoreOffload has none)");
+  }
   // Forward into the per-node core config (a direct nm.* setting wins only
   // when the cluster-level knob is left at its default).
   if (cfg_.endpoints > 1) cfg_.nm.endpoints = cfg_.endpoints;
@@ -152,9 +163,9 @@ void Cluster::run() {
 sim::ChromeTrace& Cluster::enable_timeline() {
   if (!timeline_) {
     timeline_ = std::make_unique<sim::ChromeTrace>();
-    // Default: route events into the per-partition trace rings (attach the
-    // sink before anything records or interns).
-    if (!cfg_.legacy_trace) timeline_->set_record_sink(&ensure_trace_log());
+    // Route events into the per-partition trace rings (attach the sink
+    // before anything records or interns).
+    timeline_->set_record_sink(&ensure_trace_log());
     for (int n = 0; n < cfg_.nodes; ++n) {
       timeline_->set_process_name(n, "node " + std::to_string(n));
       nodes_[static_cast<std::size_t>(n)]->sched->set_timeline(timeline_.get(), n);
@@ -165,19 +176,13 @@ sim::ChromeTrace& Cluster::enable_timeline() {
             timeline_.get(), n, tid);
       }
     }
-    if (flow_ && cfg_.legacy_trace) flow_->set_trace(timeline_.get());
   }
   return *timeline_;
 }
 
 obs::FlowTracer& Cluster::enable_flow_trace() {
   if (!flow_) {
-    flow_ = std::make_unique<obs::FlowTracer>();
-    if (cfg_.legacy_trace) {
-      if (timeline_) flow_->set_trace(timeline_.get());
-    } else {
-      flow_->set_ring(&ensure_trace_log());
-    }
+    flow_ = std::make_unique<obs::FlowTracer>(ensure_trace_log());
     for (int n = 0; n < cfg_.nodes; ++n) {
       nodes_[static_cast<std::size_t>(n)]->core->set_flow_tracer(flow_.get(),
                                                                  n);
@@ -195,7 +200,7 @@ void Cluster::write_trace_binary(const std::string& path) {
   if (!trace_log_) {
     throw std::logic_error(
         "Cluster: binary trace log not enabled (enable_timeline / "
-        "enable_flow_trace without legacy_trace)");
+        "enable_flow_trace first)");
   }
   trace_log_->write_binary(path);
 }

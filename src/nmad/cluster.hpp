@@ -64,10 +64,6 @@ struct ClusterConfig {
   /// partition count). Any value produces the identical schedule; > 1 uses
   /// real threads.
   int workers = 1;
-  /// Debug fallback: record timeline/flow events through the original
-  /// mutexed direct-JSON path instead of the lock-free binary trace rings.
-  /// Byte-stable only for workers == 1, and no .trace.bin can be written.
-  bool legacy_trace = false;
   /// Records per partition trace ring (rounded up to a power of two).
   /// Rings never lose records under the default spill policy; capacity
   /// only tunes how often the owning worker self-drains.
@@ -122,18 +118,18 @@ class Cluster {
   sim::ChromeTrace* timeline() { return timeline_.get(); }
 
   /// Start flow-tracing every message's lifecycle across the cluster.
-  /// If the timeline is (or later becomes) enabled, flow events are also
-  /// recorded there so Perfetto draws send -> recv arrows.
+  /// Stamps share the timeline's trace rings, so its JSON also carries
+  /// flow events and Perfetto draws send -> recv arrows.
   obs::FlowTracer& enable_flow_trace();
 
   obs::FlowTracer* flow_trace() { return flow_.get(); }
 
   /// The binary telemetry sink behind the timeline / flow tracer (null
-  /// until one of them is enabled, or always in legacy_trace mode).
+  /// until one of them is enabled).
   obs::TraceLog* trace_log() { return trace_log_.get(); }
 
   /// Write the captured records as a compact binary log (convert offline
-  /// with tools/trace2json). Requires the ring path (not legacy_trace).
+  /// with tools/trace2json). Requires enable_timeline / enable_flow_trace.
   void write_trace_binary(const std::string& path);
 
   /// Start a fresh simsan analysis run over this world: resets the analyzer

@@ -93,7 +93,8 @@ Core::Core(mth::Scheduler& sched, Config cfg, std::string name)
   m_copies_per_msg_ = reg.histogram(kCopiesPerMsg.at(node));
   submit_tasklet_ = std::make_unique<piom::Tasklet>(
       [this](mth::HookContext& hctx) {
-        progress_try(hctx, /*submission_only=*/true);
+        progress(hctx, /*own_ep=*/-1, /*use_try=*/true,
+                 /*submission_only=*/true);
       },
       name_ + "-submit");
 }
@@ -731,11 +732,8 @@ void Core::wait(Request* req) {
     if (pioman_ != nullptr && cfg_.progress == ProgressMode::kPiomanHooks) {
       // Polling goes through PIOMan (Fig. 6 configuration).
       pioman_->poll_once(ctx);
-    } else if (num_eps_ == 1) {
-      progress(ctx);
     } else {
-      stats_.progress_passes.add_always();
-      progress_multi(ctx, own.id_, /*use_try=*/true);
+      progress(ctx, own.id_, /*use_try=*/true);
     }
   };
 
@@ -806,38 +804,18 @@ std::size_t Core::wait_any(const std::vector<Request*>& reqs) {
   assert(std::any_of(reqs.begin(), reqs.end(),
                      [](Request* r) { return r != nullptr; }) &&
          "wait_any with no live requests");
-  if (num_eps_ == 1) {
-    auto& locks = eps_[0]->locks_;
-    locks.lock_library();
-    for (;;) {
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        // Cheap host peek first; one priced read on the hit.
-        if (reqs[i] != nullptr && reqs[i]->flag_.is_set()) {
-          reqs[i]->flag_.test();
-          locks.unlock_library();
-          return i;
-        }
-      }
-      ctx.charge(sched_.costs().spin_retry);
-      if (pioman_ != nullptr && cfg_.progress == ProgressMode::kPiomanHooks) {
-        pioman_->poll_once(ctx);
-      } else {
-        progress(ctx);
-      }
-      if (sched_.runqueue_length(sched_.current_thread()->core()) > 0) {
-        const int depth = locks.release_library_all();
-        sched_.maybe_preempt();
-        locks.reacquire_library(depth);
-      }
-    }
-  }
-  // Multi-endpoint: the requests may span endpoints, so no single library
-  // lock can cover the loop; progress all endpoints (blocking is safe --
-  // no endpoint lock is held between passes).
+  // With one endpoint the loop is one library visit, like wait()'s busy
+  // loop. At N > 1 the requests may span endpoints, so no single library
+  // lock can cover it; the passes block on one endpoint at a time, which
+  // is safe with no endpoint lock held between them.
+  LockSet* lib = num_eps_ == 1 ? &eps_[0]->locks_ : nullptr;
+  if (lib != nullptr) lib->lock_library();
   for (;;) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
+      // Cheap host peek first; one priced read on the hit.
       if (reqs[i] != nullptr && reqs[i]->flag_.is_set()) {
         reqs[i]->flag_.test();
+        if (lib != nullptr) lib->unlock_library();
         return i;
       }
     }
@@ -848,7 +826,9 @@ std::size_t Core::wait_any(const std::vector<Request*>& reqs) {
       progress(ctx);
     }
     if (sched_.runqueue_length(sched_.current_thread()->core()) > 0) {
+      const int depth = lib != nullptr ? lib->release_library_all() : 0;
       sched_.maybe_preempt();
+      if (lib != nullptr) lib->reacquire_library(depth);
     }
   }
 }
@@ -871,76 +851,17 @@ std::size_t Core::recv(Gate* gate, Tag tag, void* buf, std::size_t capacity) {
 // Progression
 // --------------------------------------------------------------------------
 
-bool Core::progress(mth::ExecContext& ctx) {
-  stats_.progress_passes.add_always();
-  if (num_eps_ > 1) {
-    // Thread context holding no endpoint lock: blocking passes over every
-    // endpoint are safe (one endpoint's locks at a time).
-    return progress_multi(ctx, /*own_ep=*/-1, /*use_try=*/false);
-  }
-  Endpoint& ep = *eps_[0];
-  ep.locks_.lock_library();
-  bool any = flush_deferred(ep, false);
-  any |= submit_step(ctx, ep, false);
-  any |= pump_step(ctx, false);
-  if (ep.resubmit_hint_) {
-    ep.resubmit_hint_ = false;
-    any |= flush_deferred(ep, false);
-    any |= submit_step(ctx, ep, false);
-  }
-  ep.locks_.unlock_library();
-  return any;
-}
-
-bool Core::progress_try(mth::ExecContext& ctx, bool submission_only) {
+bool Core::progress(mth::ExecContext& ctx, int own_ep, bool use_try,
+                    bool submission_only) {
   note_progress_pass(this, 0);
   if (ctx.dry_journal != nullptr) {
     ctx.dry_journal->add_step(&Core::note_progress_pass, this);
   }
-  if (num_eps_ > 1) {
-    return progress_multi(ctx, /*own_ep=*/-1, /*use_try=*/true,
-                          submission_only);
+  if (num_eps_ == 1) {
+    // The paper's shared instance: one visit, no cursor, nothing to steal.
+    return progress_ep(ctx, *eps_[0], !use_try || own_ep == 0,
+                       submission_only);
   }
-  Endpoint& ep = *eps_[0];
-  if (!ep.locks_.try_lock_library()) return false;
-  bool any = flush_deferred(ep, true);
-  any |= submit_step(ctx, ep, true);
-  if (!submission_only) {
-    any |= pump_step(ctx, true);
-    if (ep.resubmit_hint_) {
-      ep.resubmit_hint_ = false;
-      any |= flush_deferred(ep, true);
-      any |= submit_step(ctx, ep, true);
-    }
-  }
-  ep.locks_.unlock_library();
-  return any;
-}
-
-bool Core::progress_ep(mth::ExecContext& ctx, Endpoint& ep, bool blocking,
-                       bool submission_only) {
-  const bool use_try = !blocking;
-  if (blocking) {
-    ep.locks_.lock_library();
-  } else if (!ep.locks_.try_lock_library()) {
-    return false;
-  }
-  bool any = flush_deferred(ep, use_try);
-  any |= submit_step(ctx, ep, use_try);
-  if (!submission_only) {
-    any |= drain_parked(ctx, ep, use_try);
-    if (ep.resubmit_hint_) {
-      ep.resubmit_hint_ = false;
-      any |= flush_deferred(ep, use_try);
-      any |= submit_step(ctx, ep, use_try);
-    }
-  }
-  ep.locks_.unlock_library();
-  return any;
-}
-
-bool Core::progress_multi(mth::ExecContext& ctx, int own_ep, bool use_try,
-                          bool submission_only) {
   bool any = false;
   // Deterministic round-robin start so no endpoint is structurally starved
   // when many contexts drive progression.
@@ -961,6 +882,32 @@ bool Core::progress_multi(mth::ExecContext& ctx, int own_ep, bool use_try,
   return any;
 }
 
+bool Core::progress_ep(mth::ExecContext& ctx, Endpoint& ep, bool blocking,
+                       bool submission_only) {
+  const bool use_try = !blocking;
+  if (blocking) {
+    ep.locks_.lock_library();
+  } else if (!ep.locks_.try_lock_library()) {
+    return false;
+  }
+  bool any = flush_deferred(ep, use_try);
+  any |= submit_step(ctx, ep, use_try);
+  if (!submission_only) {
+    // One endpoint owns every packet and pumps the NICs itself; with
+    // several, pump_step_multi demultiplexes and this endpoint takes what
+    // was parked for it.
+    any |= num_eps_ == 1 ? pump_step(ctx, use_try)
+                         : drain_parked(ctx, ep, use_try);
+    if (ep.resubmit_hint_) {
+      ep.resubmit_hint_ = false;
+      any |= flush_deferred(ep, use_try);
+      any |= submit_step(ctx, ep, use_try);
+    }
+  }
+  ep.locks_.unlock_library();
+  return any;
+}
+
 bool Core::poll(mth::ExecContext& ctx) {
   if (cfg_.progress == ProgressMode::kIdleCoreOffload) {
     // Idle cores only take over *submission* work (Sec. 4.2, "while a core
@@ -968,9 +915,10 @@ bool Core::poll(mth::ExecContext& ctx) {
     // to be submitted to a network").
     if (!has_submission_work()) return false;
     ctx.charge(sched_.costs().idle_offload_detect);
-    return progress_try(ctx, /*submission_only=*/true);
+    return progress(ctx, /*own_ep=*/-1, /*use_try=*/true,
+                    /*submission_only=*/true);
   }
-  return progress_try(ctx);
+  return progress(ctx, /*own_ep=*/-1, /*use_try=*/true);
 }
 
 bool Core::pending() const {
@@ -1244,95 +1192,39 @@ bool Core::pump_step_multi(mth::ExecContext& ctx, int own_ep, bool use_try) {
       any |= adv;
     }
   }
-  if (cfg_.rx_queues > 1) {
-    any |= pump_rails_mq(ctx, own_ep, use_try);
-    return any;
-  }
-  // Shared NIC completion queues: the rx doorbell is atomic MMIO (see
-  // endpoint.hpp), so polling needs no lock; each popped packet is then
-  // demultiplexed to its owning endpoint via the wire endpoint id.
-  for (int r = 0; r < num_rails(); ++r) {
-    net::Nic& nic = *nics_[static_cast<std::size_t>(r)];
-    if (!nic.rx_pending()) {
-      nic.poll();  // doorbell peek: priced like the single-endpoint pump
-      continue;
-    }
-    // The peek above is the lock-free atomic doorbell read; with a single
-    // completion queue the drain stays serialized -- that *is* the
-    // single-queue contention model (and the historical schedule). A
-    // contended pass skips the rail: it is already being drained.
-    sync::SpinLock& rx_lock = *nic_rx_locks_[static_cast<std::size_t>(r)];
-    if (!rx_lock.try_lock()) continue;
-    for (int k = 0; k < 4; ++k) {
-      auto pkt = nic.poll();
-      if (!pkt) break;
-      const int e =
-          static_cast<int>(peek_packet_ep(pkt->payload)) % num_eps_;
-      Endpoint& ep = *eps_[static_cast<std::size_t>(e)];
-      auto park = [&] {
-        const bool locked = leaf_try(*park_lock_);
-        if (locked) SIMSAN_ACCESS(san_parked_);
-        parked_rx_[static_cast<std::size_t>(e)].emplace_back(r,
-                                                             std::move(*pkt));
-        if (locked) park_lock_->unlock();
-      };
-      // FIFO per endpoint: once packets are parked for e, later arrivals
-      // must queue behind them or matching would observe reordering.
-      if (!parked_rx_[static_cast<std::size_t>(e)].empty()) {
-        park();
-        continue;
-      }
-      const bool blocking = !use_try || e == own_ep;
-      bool locked;
-      if (blocking) {
-        ep.locks_.lock(Domain::kMatching);
-        locked = true;
-      } else {
-        locked = ep.locks_.try_lock(Domain::kMatching);
-      }
-      if (!locked) {
-        park();
-        continue;
-      }
-      process_packet_locked(ctx, ep, r, *pkt);
-      ep.locks_.unlock(Domain::kMatching);
-      if (use_try && e != own_ep) ep.m_steals_.inc();
-      any = true;
-    }
-    rx_lock.unlock();
-  }
-  return any;
-}
-
-bool Core::pump_rails_mq(mth::ExecContext& ctx, int own_ep, bool use_try) {
+  // RX: one drain over every (rail, ring). The NIC rx doorbells are atomic
+  // MMIO (see endpoint.hpp), so peeking needs no lock; each popped packet
+  // is demultiplexed to its owning endpoint by the wire endpoint id. A
+  // context drains the ring its own endpoint is steered to first, then
+  // helps any other raised doorbell in ascending order: helping keeps
+  // wildcard matches and stalled peers live when only one context polls.
   const int nq = cfg_.rx_queues;
-  bool any = false;
+  const int own_q = own_ep >= 0 ? own_ep % nq : -1;
   for (int r = 0; r < num_rails(); ++r) {
-    net::Nic& nic = *nics_[static_cast<std::size_t>(r)];
-    const int own_q = own_ep >= 0 ? own_ep % nq : -1;
+    const auto rs = static_cast<std::size_t>(r);
+    net::Nic& nic = *nics_[rs];
     bool any_pending = false;
-    // Own ring first (the queue this endpoint's packets are steered to),
-    // then help any other raised doorbell in ascending order: helping keeps
-    // wildcard matches and stalled peers live when only one context polls.
     for (int qi = 0; qi < nq; ++qi) {
-      int q;
-      if (own_q >= 0) {
-        q = qi == 0 ? own_q : (qi <= own_q ? qi - 1 : qi);
-      } else {
-        q = qi;
-      }
-      if (!nic.rx_pending(q)) continue;  // unpriced per-ring doorbell peek
+      const int q = own_q < 0 ? qi
+                    : qi == 0 ? own_q
+                              : (qi <= own_q ? qi - 1 : qi);
+      // Unpriced doorbell peek. The single queue reads the full-NIC word,
+      // which still counts a packet a concurrent poll is being charged for.
+      if (nq == 1 ? !nic.rx_pending() : !nic.rx_pending(q)) continue;
       any_pending = true;
-      // Drain-ownership flag (see core.hpp): claims are fiber-atomic but
-      // processing order is not -- one drainer per ring at a time, a
-      // raised flag means the ring is already being serviced, move on.
-      auto& busy = mq_ring_busy_[static_cast<std::size_t>(r)];
-      if (busy[static_cast<std::size_t>(q)]) continue;
-      busy[static_cast<std::size_t>(q)] = 1;
+      // One drainer per ring (see core.hpp): a ring already being drained
+      // is skipped. The single queue's priced try-lock *is* its contention
+      // model; per-endpoint rings use an unpriced flag.
+      const auto qs = static_cast<std::size_t>(q);
+      if (nq == 1) {
+        if (!nic_rx_locks_[rs]->try_lock()) continue;
+      } else {
+        if (mq_ring_busy_[rs][qs]) continue;
+        mq_ring_busy_[rs][qs] = 1;
+      }
       for (int k = 0; k < 4; ++k) {
         // poll(q) claims the packet before charging its cost, so the
-        // observe/dequeue pair is atomic under fiber yield: no lock, and
-        // two pollers can never commit to the same doorbell observation.
+        // observe/dequeue pair is atomic under fiber yield.
         auto pkt = nic.poll(q);
         if (!pkt) break;
         const int e =
@@ -1352,14 +1244,9 @@ bool Core::pump_rails_mq(mth::ExecContext& ctx, int own_ep, bool use_try) {
           continue;
         }
         const bool blocking = !use_try || e == own_ep;
-        bool locked;
         if (blocking) {
           ep.locks_.lock(Domain::kMatching);
-          locked = true;
-        } else {
-          locked = ep.locks_.try_lock(Domain::kMatching);
-        }
-        if (!locked) {
+        } else if (!ep.locks_.try_lock(Domain::kMatching)) {
           park();
           continue;
         }
@@ -1368,11 +1255,15 @@ bool Core::pump_rails_mq(mth::ExecContext& ctx, int own_ep, bool use_try) {
         if (use_try && e != own_ep) ep.m_steals_.inc();
         any = true;
       }
-      busy[static_cast<std::size_t>(q)] = 0;
+      if (nq == 1) {
+        nic_rx_locks_[rs]->unlock();
+      } else {
+        mq_ring_busy_[rs][qs] = 0;
+      }
     }
     if (!any_pending) {
-      // All doorbells down: one priced empty poll on the own ring, matching
-      // the single-queue pump's idle-pass cost model.
+      // All doorbells down: one priced empty poll on the own ring, the
+      // single-endpoint pump's idle-pass cost model.
       nic.poll(own_q >= 0 ? own_q : 0);
     }
   }
@@ -1380,7 +1271,6 @@ bool Core::pump_rails_mq(mth::ExecContext& ctx, int own_ep, bool use_try) {
 }
 
 bool Core::drain_parked(mth::ExecContext& ctx, Endpoint& ep, bool use_try) {
-  if (parked_rx_.empty()) return false;  // single-endpoint core
   auto& q = parked_rx_[static_cast<std::size_t>(ep.id_)];
   if (q.empty()) return false;  // unpriced host peek
   if (use_try) {
@@ -1486,10 +1376,9 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       // Receiver side: a rendezvous announcement matches like a message.
       // The packer schedules RTS chunks ahead of queued eager data, so an
       // RTS can physically overtake earlier messages of its own channel;
-      // on multi-queue cores matching stays in channel order by stashing
+      // matching stays in channel order (MPI non-overtaking) by stashing
       // such an early RTS until the messages before it have matched.
-      if (match_order_enforced() &&
-          seq_after(h.msg_seq, gate.next_match_seq_)) {
+      if (seq_after(h.msg_seq, gate.next_match_seq_)) {
         Gate::EarlyRts early;
         early.tag = h.tag;
         early.total_len = h.total_len;
@@ -1549,8 +1438,7 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       }
       if (req != nullptr) {
         deliver_chunk_locked(ctx, rail, gate, req, h, data);
-        if (h.kind == ChunkKind::kEager && h.offset == 0 &&
-            match_order_enforced()) {
+        if (h.kind == ChunkKind::kEager && h.offset == 0) {
           bump_match_seq_locked(ctx, ep, gate, h.msg_seq);
         }
         return;
@@ -1602,8 +1490,7 @@ void Core::handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
       }
       um->filled += h.chunk_len;
       stats_.unexpected_chunks.add_always();
-      if (h.kind == ChunkKind::kEager && h.offset == 0 &&
-          match_order_enforced()) {
+      if (h.kind == ChunkKind::kEager && h.offset == 0) {
         bump_match_seq_locked(ctx, ep, gate, h.msg_seq);
       }
       return;
@@ -1670,7 +1557,7 @@ void Core::process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
     gate.unexpected_.push_back(std::move(um));
     stats_.unexpected_chunks.add_always();
   }
-  if (match_order_enforced()) bump_match_seq_locked(ctx, ep, gate, msg_seq);
+  bump_match_seq_locked(ctx, ep, gate, msg_seq);
 }
 
 void Core::bump_match_seq_locked(mth::ExecContext& ctx, Endpoint& ep,
@@ -1761,17 +1648,9 @@ mth::Thread* Core::start_poll_thread() {
     ep.poll_thread_ = sched_.spawn(
         [this, e] {
           auto& ctx = mth::ExecContext::current();
-          if (num_eps_ == 1) {
-            while (!poll_thread_stop_) {
-              progress(ctx);  // every pass consumes time; the loop is paced
-            }
-          } else {
-            // Own this endpoint (blocking), steal from the others (try).
-            while (!poll_thread_stop_) {
-              stats_.progress_passes.add_always();
-              progress_multi(ctx, e, /*use_try=*/true);
-            }
-          }
+          // Own this endpoint (blocking), steal from the others (try).
+          // Every pass consumes time, so the loop is paced.
+          while (!poll_thread_stop_) progress(ctx, e, /*use_try=*/true);
         },
         attrs);
   }

@@ -15,6 +15,12 @@
 //               per endpoint (see endpoint.hpp), sends and exact receives
 //               route to endpoint tag % N, and progression steals work
 //               across endpoints with try-locks.
+//   rx queues   1 shared completion queue per NIC .. M per-endpoint rings.
+//
+// Progression is one pass, Core::progress, whoever runs it: a waiting
+// application thread, a PIOMan hook, a poll thread or a tasklet. The call
+// site only chooses which endpoint the pass may block on. Matching follows
+// each channel's send order (MPI non-overtaking) in every configuration.
 //
 // Locking discipline: a thread never holds two lock domains at once on the
 // blocking paths (collect -> unlock -> driver -> unlock -> matching), which
@@ -179,11 +185,14 @@ class Core final : public piom::PollSource {
 
   // --- progression -------------------------------------------------------------
 
-  /// One full progression pass with blocking locks (thread context).
-  bool progress(mth::ExecContext& ctx);
-
-  /// Hook-safe pass: try-locks only, never blocks.
-  bool progress_try(mth::ExecContext& ctx, bool submission_only = false);
+  /// One progression pass: flush deferred protocol work, submit, drain
+  /// the NICs. It blocks on endpoint @p own_ep's locks, and on every
+  /// endpoint's unless @p use_try; all other locks are try-locked, so a
+  /// @p use_try pass with no own endpoint never blocks (hook-safe). The
+  /// defaults are a blocking pass over every endpoint (thread context).
+  /// @p submission_only skips the receive side (offloaded submission).
+  bool progress(mth::ExecContext& ctx, int own_ep = -1, bool use_try = false,
+                bool submission_only = false);
 
   // PollSource interface (PIOMan).
   bool poll(mth::ExecContext& ctx) override;
@@ -243,22 +252,18 @@ class Core final : public piom::PollSource {
   bool submit_step(mth::ExecContext& ctx, Endpoint& ep, bool use_try);
   bool commit_staged(Endpoint& ep, std::vector<Strategy::Arranged>& staged,
                      bool use_try);
+  /// Single-endpoint pump: driver domain, then a batch of polls, then one
+  /// matching acquisition -- the lock order the Fig. 3-5 costs model.
   bool pump_step(mth::ExecContext& ctx, bool use_try);
+  /// Multi-endpoint pump: every endpoint's transfer lists, then one drain
+  /// over every (rail, ring) that demultiplexes each packet to its owning
+  /// endpoint, processing it or parking it for that endpoint's next pass.
   bool pump_step_multi(mth::ExecContext& ctx, int own_ep, bool use_try);
-  /// Multi-queue rail drain (rx_queues > 1): each context drains the ring
-  /// its own endpoint is steered to first, then helps any other ring whose
-  /// doorbell is raised -- lock-free, Nic::poll claims fiber-atomically.
-  bool pump_rails_mq(mth::ExecContext& ctx, int own_ep, bool use_try);
   bool drain_parked(mth::ExecContext& ctx, Endpoint& ep, bool use_try);
   /// One progression pass over a single endpoint. @p blocking passes may
   /// block on this endpoint's locks; try passes never block anywhere.
   bool progress_ep(mth::ExecContext& ctx, Endpoint& ep, bool blocking,
-                   bool submission_only = false);
-  /// Multi-endpoint pass: blocking on @p own_ep (-1 = none), try-lock
-  /// stealing on every other endpoint, starting from the deterministic
-  /// round-robin cursor.
-  bool progress_multi(mth::ExecContext& ctx, int own_ep, bool use_try,
-                      bool submission_only = false);
+                   bool submission_only);
   void process_packet_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
                              const net::Packet& pkt);
   void handle_chunk_locked(mth::ExecContext& ctx, Endpoint& ep, int rail,
@@ -270,10 +275,6 @@ class Core final : public piom::PollSource {
   void deliver_chunk_locked(mth::ExecContext& ctx, int rail, Gate& gate,
                             Request* req, const ChunkHeader& h,
                             const std::uint8_t* data);
-  /// True when matching must follow per-channel msg_seq order (multi-queue
-  /// rails). The single-queue path keeps its historical relaxed order --
-  /// the fixed-seed schedules depend on it byte for byte.
-  bool match_order_enforced() const { return cfg_.rx_queues > 1; }
   /// RTS body of handle_chunk_locked (match-or-unexpected plus the CTS
   /// grant), shared with the early-RTS stash drain.
   void process_rts_locked(mth::ExecContext& ctx, Endpoint& ep, Gate& gate,
@@ -341,21 +342,17 @@ class Core final : public piom::PollSource {
   std::unique_ptr<sync::SpinLock> park_lock_;
   std::vector<std::deque<std::pair<int, net::Packet>>> parked_rx_;  // per ep
   san::Shared san_parked_{"nm.rxpark"};
-  /// One poller at a time per shared single-queue NIC completion queue
-  /// (N > 1 endpoints with rx_queues == 1 only). Nic::poll now claims the
-  /// packet before charging (fiber-atomic), so the lock is no longer a
-  /// correctness requirement -- it stays because the serialized drain *is*
-  /// the single-queue contention model (and keeps historical schedules
-  /// byte-identical). With rx_queues > 1 the per-queue drain runs lock-free:
-  /// each ring has one owning endpoint, and helpers claim atomically.
+  /// Drain owner of each ring in pump_step_multi: one drainer per ring at
+  /// a time, and a context that finds a ring owned skips it. Needed because
+  /// a poll charge yields the claiming fiber: without it a helper could
+  /// claim seq N and yield while another drainer claims and *processes*
+  /// seq N+1 first, breaking per-endpoint matching FIFO (claims are
+  /// atomic, processing order is not). The policy is chosen per M:
+  ///  - rx_queues == 1: a priced try-lock per NIC. The serialized drain
+  ///    *is* the single-queue contention model.
+  ///  - rx_queues > 1: an unpriced per-(rail, ring) flag, never blocked
+  ///    on. Plain bytes suffice: a node's fibers share one worker.
   std::vector<std::unique_ptr<sync::SpinLock>> nic_rx_locks_;
-  /// Per-(rail, ring) drain-ownership flag for the multi-queue path. Not a
-  /// lock: never blocked on, never priced. A context that finds the flag up
-  /// skips the ring -- its owner is mid-drain. Needed because a poll charge
-  /// yields the claiming fiber: without the flag a helper could claim seq N
-  /// and yield while the ring's owner claims and *processes* seq N+1 first,
-  /// breaking per-endpoint matching FIFO (claims are atomic, processing
-  /// order is not). Plain bytes suffice: a node's fibers share one worker.
   std::vector<std::vector<std::uint8_t>> mq_ring_busy_;
   int rr_ = 0;  ///< deterministic round-robin progression cursor
   /// mth::DryJournal steps: counter effects of a dry hook pass, and the

@@ -134,12 +134,11 @@ class Gate {
   std::deque<UnexpectedMsg> unexpected_;                 ///< arrival order
   san::Shared san_matching_{"gate.matching"};  ///< covers the tables above
 
-  /// Channel match-order gate, enforced only on multi-queue cores (the
-  /// legacy single-queue path keeps its historical relaxed order, which
-  /// the fixed seeds depend on byte-for-byte). The packer drains a gate's
-  /// ctrl list ahead of its out list, so an RTS can leave the sender
-  /// before earlier eagers of the same channel; matching in channel order
-  /// means stashing such an early RTS until the eagers before it arrive.
+  /// Channel match-order gate (MPI non-overtaking), enforced in every
+  /// configuration. The packer drains a gate's ctrl list ahead of its out
+  /// list, so an RTS can leave the sender before earlier eagers of the
+  /// same channel; matching in channel order means stashing such an early
+  /// RTS until the eagers before it arrive.
   struct EarlyRts {
     Tag tag = 0;
     std::size_t total_len = 0;

@@ -80,13 +80,20 @@ struct Config {
   int endpoints = 1;
 
   /// Number of independent RX completion queues per NIC (multi-queue
-  /// rails). 1 (default) is the classic single completion queue,
-  /// byte-identical to the historical behavior, with all endpoints
-  /// draining through one serialized poll path. With M > 1, arriving
-  /// packets are steered RSS-style by their wire-format endpoint id into
-  /// ring `ep % M`, and each endpoint's progress drains its own ring with
-  /// no shared lock. Must be in [1, 256].
+  /// rails). 1 (default) is the classic single completion queue, with all
+  /// endpoints draining through one serialized poll path. With M > 1,
+  /// arriving packets are steered RSS-style by their wire-format endpoint
+  /// id into ring `ep % M`, and each endpoint's progress drains its own
+  /// ring with no shared lock. Must be in [1, 256].
   int rx_queues = 1;
+
+  /// How wait() waits. A passive waiter never progresses itself:
+  /// completion comes from PIOMan hooks, a poll thread, another thread's
+  /// progress, or the application calling Core::progress() -- which is why
+  /// kPassive stays legal with kAppDriven. nm::Cluster rejects kPassive
+  /// where nothing can drain a receive: with kIdleCoreOffload (its hooks
+  /// only submit), and with kTaskletOffload unless
+  /// ClusterConfig::pioman_hooks is set.
   WaitMode wait = WaitMode::kBusy;
   ProgressMode progress = ProgressMode::kAppDriven;
   StrategyKind strategy = StrategyKind::kAggreg;

@@ -206,8 +206,7 @@ std::string TraceLog::records_to_json(
   std::string out = "{\"traceEvents\":[\n";
   bool first = true;
   // Flow-arrow synthesis state: stages already seen per flow id, replayed
-  // in canonical order so "first stamp" resolves exactly as the legacy
-  // inline emission did.
+  // in canonical order; each stage's arrow event marks its first stamp.
   std::unordered_map<std::uint64_t, unsigned> stages_seen;
   for (const sim::TraceRecord& r : canonical) {
     sim::TraceEventView v;

@@ -30,8 +30,8 @@
 // count: records sort by (emit, ring, seq) -- `emit` is partition-clock
 // virtual time, ring is the partition id, seq the push order within the
 // ring, all host-schedule-independent. For a single-partition world this
-// order *is* append order, which is how the converted JSON byte-matches the
-// legacy direct-JSON path there.
+// order *is* append order, so the converted JSON byte-matches a sink-less
+// ChromeTrace fed the same events.
 //
 // write_binary() spills everything to a compact log (48 B/record + string
 // table + per-ring sequence headers); tools/trace2json converts offline via

@@ -15,9 +15,10 @@
 //    lookup. to_json() then renders the canonical (emit, partition, seq)
 //    merge, which is byte-stable for any worker count.
 //
-//  - Legacy direct storage (debug fallback, ClusterConfig::legacy_trace):
-//    events append to a mutexed vector and to_json() renders them in
-//    append order -- reproducible only for single-worker runs.
+//  - Direct storage (no sink attached; simcore's own tests, which cannot
+//    depend on obs): events append to a mutexed vector and to_json()
+//    renders them in append order -- reproducible only for single-worker
+//    runs.
 //
 // Both backends produce the same JSON bytes for the same event sequence:
 // they share append_trace_event_json() below.
@@ -36,7 +37,7 @@
 namespace pm2::sim {
 
 /// One trace event with all strings resolved, ready to serialize. The
-/// legacy vector path and the binary-record converter both lower their
+/// direct vector store and the binary-record converter both lower their
 /// events to this view so the JSON bytes match exactly.
 struct TraceEventView {
   char phase = 'X';  // 'X' complete, 'i' instant, 'C' counter, 'M' metadata,
@@ -123,9 +124,9 @@ class ChromeTrace {
               int tid, Time ts, Time dur, double value, std::uint64_t flow_id);
 
   TraceRecordSink* sink_ = nullptr;
-  mutable std::mutex mu_;                          // guards the legacy store
-  std::vector<Event> events_;                      // legacy backend only
-  std::vector<std::string> strings_{std::string()};  // legacy id -> string
+  mutable std::mutex mu_;                          // guards the direct store
+  std::vector<Event> events_;                      // direct store only
+  std::vector<std::string> strings_{std::string()};  // direct id -> string
   std::unordered_map<std::string, std::uint16_t> ids_{{std::string(), 0}};
 };
 

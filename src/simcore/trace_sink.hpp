@@ -23,8 +23,8 @@ namespace pm2::sim {
 
 /// Phase byte for flow-lifecycle stamps (obs::FlowTracer). Not a Chrome
 /// trace phase: the converter aggregates these records into the per-stage
-/// latency breakdown and synthesizes the "s"/"t"/"f" flow-arrow events the
-/// legacy direct-JSON path emitted inline.
+/// latency breakdown and synthesizes the "s"/"t"/"f" flow-arrow events
+/// (one per stage, at its first stamp).
 inline constexpr std::uint8_t kFlowStampPhase = 0x80;
 
 /// One fixed-size binary trace record (48 bytes, trivially copyable).

@@ -125,6 +125,51 @@ TEST(ErrorPaths, BadClusterConfigs) {
   EXPECT_THROW(nm::Cluster{norails}, std::invalid_argument);
 }
 
+// A passive waiter never progresses itself. With idle-core offload the
+// hooks only submit, and with tasklet offload and no hooks nothing runs a
+// receive-side pass at all: both would end run() with every waiter still
+// blocked, so the cluster refuses them up front.
+ClusterConfig passive_with(ProgressMode mode, bool hooks) {
+  ClusterConfig cfg;
+  cfg.nm.wait = WaitMode::kPassive;
+  cfg.nm.progress = mode;
+  cfg.pioman_hooks = hooks;
+  return cfg;
+}
+
+TEST(ErrorPaths, PassiveWaitWithNoReceiveProgressRejected) {
+  for (bool hooks : {false, true}) {
+    EXPECT_THROW(
+        nm::Cluster{passive_with(ProgressMode::kIdleCoreOffload, hooks)},
+        std::invalid_argument);
+  }
+  EXPECT_THROW(nm::Cluster{passive_with(ProgressMode::kTaskletOffload, false)},
+               std::invalid_argument);
+}
+
+TEST(ErrorPaths, PassiveWaitWithTaskletOffloadAndHooksCompletes) {
+  nm::Cluster world(passive_with(ProgressMode::kTaskletOffload, true));
+  int done = 0;
+  world.spawn(0, [&world, &done] {
+    std::uint8_t b = 7;
+    for (int i = 0; i < 10; ++i) {
+      world.core(0).send(world.gate(0, 1), 1, &b, 1);
+      world.core(0).recv(world.gate(0, 1), 2, &b, 1);
+    }
+    ++done;
+  });
+  world.spawn(1, [&world, &done] {
+    std::uint8_t b = 0;
+    for (int i = 0; i < 10; ++i) {
+      world.core(1).recv(world.gate(1, 0), 1, &b, 1);
+      world.core(1).send(world.gate(1, 0), 2, &b, 1);
+    }
+    ++done;
+  });
+  world.run();
+  EXPECT_EQ(done, 2);
+}
+
 TEST(Stats, CountersTrackTraffic) {
   nm::ClusterConfig cfg;
   nm::Cluster world(cfg);

@@ -206,6 +206,61 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{LockMode::kFine, StrategyKind::kSplit, 10}),
     sweep_name);
 
+// MPI non-overtaking across protocols: the packer schedules an RTS ahead of
+// queued eager data, so a rendezvous can physically overtake the earlier
+// same-tag eager messages of its channel. Matching must still pair each
+// receive with the message sent in the same position, on one shared RX
+// queue or on per-endpoint rings, with the receives posted before the
+// messages land or after they are all unexpected.
+TEST(Ordering, EagerThenRendezvousSameTagMatchInSendOrder) {
+  constexpr std::size_t kSmall = 64;
+  constexpr std::size_t kLarge = std::size_t{256} * 1024;
+  const std::vector<std::size_t> sent = {kSmall, kSmall, kSmall, kLarge};
+  for (int rxq : {1, 2}) {
+    for (int eps : {1, 2}) {
+      for (bool late : {false, true}) {
+        SCOPED_TRACE("rx_queues=" + std::to_string(rxq) +
+                     " endpoints=" + std::to_string(eps) +
+                     (late ? " late receiver" : " receives posted first"));
+        nm::ClusterConfig cfg;
+        cfg.endpoints = eps;
+        cfg.rx_queues = rxq;
+        nm::Cluster world(cfg);
+        world.spawn(0, [&world, &sent] {
+          nm::Core& c = world.core(0);
+          std::vector<std::uint8_t> data(kLarge, 0x5a);
+          std::vector<Request*> reqs;
+          for (std::size_t len : sent) {
+            reqs.push_back(c.isend(world.gate(0, 1), 7, data.data(), len));
+          }
+          for (Request* r : reqs) {
+            c.wait(r);
+            c.release(r);
+          }
+        });
+        std::vector<std::size_t> got;
+        world.spawn(1, [&world, &sent, &got, late] {
+          if (late) world.sched(1).work(sim::microseconds(50));
+          nm::Core& c = world.core(1);
+          std::vector<std::vector<std::uint8_t>> bufs(
+              sent.size(), std::vector<std::uint8_t>(kLarge));
+          std::vector<Request*> reqs;
+          for (auto& b : bufs) {
+            reqs.push_back(c.irecv(world.gate(1, 0), 7, b.data(), b.size()));
+          }
+          for (Request* r : reqs) {
+            c.wait(r);
+            got.push_back(r->received_length());
+            c.release(r);
+          }
+        });
+        world.run();
+        EXPECT_EQ(got, sent);
+      }
+    }
+  }
+}
+
 TEST(Determinism, IdenticalRunsProduceIdenticalTimelines) {
   auto run_once = [] {
     nm::ClusterConfig cfg;
@@ -238,8 +293,8 @@ TEST(Determinism, IdenticalRunsProduceIdenticalTimelines) {
 // Long runs wrap msg_seq modulo ChunkHeader::kMaxSeq (2^24 messages per
 // (endpoint, gate)). Starting every gate just below the wrap, same-tag
 // messages -- eager and rendezvous, adopted from the unexpected list or
-// matched as they arrive -- must still be received in send order, with the
-// legacy single queue and with channel-ordered multi-queue matching.
+// matched as they arrive -- must still be received in send order, on the
+// single shared queue and on per-endpoint rings.
 struct SeqWrapCase {
   int endpoints;
   int rx_queues;

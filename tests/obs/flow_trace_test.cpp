@@ -33,7 +33,8 @@ TEST_F(FlowTraceTest, FlowIdPacksBothEndpoints) {
 }
 
 TEST_F(FlowTraceTest, StampLastWinsAndCompletes) {
-  FlowTracer tracer;
+  TraceLog log;
+  FlowTracer tracer(log);
   const std::uint64_t id = FlowTracer::flow_id(0, 1, 1);
   tracer.stamp(id, FlowStage::kPost, 100, 0, 0);
   tracer.stamp(id, FlowStage::kArrange, 150, 0, 0);
@@ -48,6 +49,10 @@ TEST_F(FlowTraceTest, StampLastWinsAndCompletes) {
   EXPECT_EQ(tracer.completed_count(), 0u);
   tracer.stamp(id, FlowStage::kDeliver, 500, 1, 0);
   tracer.stamp(id, FlowStage::kComplete, 550, 1, 0);
+  // Reads rebuild the aggregation from the ring, so look the flow up again
+  // after later stamps.
+  f = tracer.find(id);
+  ASSERT_NE(f, nullptr);
   EXPECT_TRUE(f->complete());
   EXPECT_EQ(tracer.completed_count(), 1u);
   EXPECT_EQ(tracer.flow_count(), 1u);

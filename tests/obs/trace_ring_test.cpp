@@ -1,7 +1,8 @@
 // Tests for the binary telemetry path: the lock-free SPSC trace ring, the
 // TraceLog sink (spill / drop policies, drain thread, intern table), the
 // binary log round trip, and byte-stability of the converted ChromeTrace
-// JSON against the legacy direct-JSON path and across worker counts.
+// JSON against a pinned single-partition digest and across worker counts.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -212,9 +213,8 @@ void run_pingpong(nm::Cluster& world, int src, int dst, int iters,
   });
 }
 
-std::string traced_pingpong_json(bool legacy_trace) {
+std::string traced_pingpong_json() {
   nm::ClusterConfig cfg;
-  cfg.legacy_trace = legacy_trace;
   nm::Cluster world(cfg);
   world.enable_timeline();
   world.enable_flow_trace();
@@ -223,12 +223,25 @@ std::string traced_pingpong_json(bool legacy_trace) {
   return world.timeline()->to_json();
 }
 
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The ring path's JSON must stay byte-identical to what the mutexed
+// direct-JSON recorder (with inline flow-arrow emission) produced for this
+// world; the size and hash were captured while both backends still
+// existed and the ring output was asserted equal to it.
 TEST(TraceLog, RingJsonByteIdenticalToLegacyOnSinglePartition) {
-  const std::string ring = traced_pingpong_json(false);
-  const std::string legacy = traced_pingpong_json(true);
+  const std::string ring = traced_pingpong_json();
   ASSERT_FALSE(ring.empty());
-  EXPECT_EQ(ring, legacy);
-  // Sanity: both paths actually recorded the interesting material.
+  EXPECT_EQ(ring.size(), 18707u);
+  EXPECT_EQ(fnv1a64(ring), 0x158155b4420e89e3ull);
+  // Sanity: the interesting material was actually recorded.
   EXPECT_NE(ring.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(ring.find("\"cat\":\"flow\""), std::string::npos);
   EXPECT_NE(ring.find("\"ph\":\"s\""), std::string::npos);
