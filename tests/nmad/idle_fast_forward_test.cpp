@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -283,6 +284,11 @@ struct SweepCase {
   int endpoints;
   int rx_queues;
 };
+
+/// Prints the case by its label: gtest's default byte dump would show the
+/// label's address, which moves with every run, so the listed test names
+/// would never repeat.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 /// Every lock mode, waiting policy and endpoint / RX-queue layout whose
 /// idle passes PIOMan's hooks drive: the dry pass differs between them
