@@ -3,9 +3,9 @@
 # must stay byte-identical across host-side optimizations. Runs the figure
 # benches, the ablations, sec33_corewaste and app_hybrid at their default
 # configuration, every figure bench on the multi-endpoint and multi-queue
-# paths, each figure bench partitioned with simsan on, and the two
-# hook-progress figures (fig7, fig9) partitioned with no timeline and no
-# simsan -- the runs where the scheduler's dry idle-poll fast-forward is
+# paths, each figure bench partitioned with simsan on, and the three
+# hook-progress figures (fig6, fig7, fig9) partitioned with no timeline and
+# no simsan -- the runs where the scheduler's dry idle-poll fast-forward is
 # active; hashes stdout, CSV, metrics JSON and the Chrome-trace JSON of
 # every run; and compares the hashes with the committed
 # bench/golden_digests.txt.
@@ -75,8 +75,8 @@ for b in $figs; do
   run "$b.p2w2.simsan" "$b" --partitions=2 --workers=2 --simsan=on $files
 done
 # No --metrics-out (it attaches a timeline) and no simsan: both observers
-# turn the idle fast-forward off, so these two runs are where it is gated.
-for b in fig7_waiting fig9_offload; do
+# turn the idle fast-forward off, so these three runs are where it is gated.
+for b in fig6_pioman fig7_waiting fig9_offload; do
   run "$b.p2w2" "$b" --partitions=2 --workers=2 --csv=out.csv
 done
 wait
