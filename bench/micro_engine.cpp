@@ -207,31 +207,37 @@ void BM_PingpongEndToEndTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_PingpongEndToEndTraced)->Unit(benchmark::kMillisecond);
 
-/// PIOMan idle polling under passive waits: two nodes exchange 64 KB
-/// (rendezvous) messages, one thread each, so while a message is on the
-/// wire the other three cores of each node -- and the waiter's own core --
-/// run PIOMan idle passes that find nothing. Reports engine events, PIOMan
-/// passes and idle passes replayed without an event (the scheduler's dry
-/// idle fast-forward), per one-way message.
-void BM_IdlePolling(benchmark::State& state) {
+/// PIOMan idle polling under passive waits: node pairs (2k, 2k+1) exchange
+/// 64 KB (rendezvous) messages, one thread each, so while a message is on
+/// the wire the other three cores of each node -- and the waiter's own
+/// core -- run PIOMan idle passes that find nothing. Items are round trips.
+/// Reports engine events, PIOMan passes, idle passes replayed without an
+/// event (the scheduler's dry idle fast-forward) and synchronization
+/// windows, per one-way message.
+void idle_polling(benchmark::State& state, int nodes, int partitions,
+                  int workers) {
   const std::size_t kIters = 16;
   const std::size_t kLen = 64 * 1024;
   nm::ClusterConfig cfg;
+  cfg.nodes = nodes;
+  cfg.partitions = partitions;
+  cfg.workers = workers;
   cfg.nm.lock = nm::LockMode::kFine;
   cfg.nm.wait = nm::WaitMode::kPassive;
   cfg.nm.progress = nm::ProgressMode::kPiomanHooks;
   std::uint64_t events = 0;
   std::uint64_t passes = 0;
   std::uint64_t elided = 0;
+  std::uint64_t windows = 0;
   for (auto _ : state) {
     nm::Cluster world(cfg);
-    for (int node = 0; node < 2; ++node) {
+    for (int node = 0; node < nodes; ++node) {
       world.spawn(node, [&world, node] {
         auto& c = world.core(node);
-        auto* g = world.gate(node, 1 - node);
+        auto* g = world.gate(node, node ^ 1);
         std::vector<std::uint8_t> buf(kLen, static_cast<std::uint8_t>(node));
         for (std::size_t i = 0; i < kIters; ++i) {
-          if (node == 0) {
+          if (node % 2 == 0) {
             c.send(g, 1, buf.data(), buf.size());
             c.recv(g, 2, buf.data(), buf.size());
           } else {
@@ -244,16 +250,30 @@ void BM_IdlePolling(benchmark::State& state) {
     world.run();
     events += world.engine().events_executed();
     elided += world.engine().elided_ticks();
-    for (int node = 0; node < 2; ++node) passes += world.pioman(node).passes();
+    windows += world.engine().windows_executed();
+    for (int node = 0; node < nodes; ++node) {
+      passes += world.pioman(node).passes();
+    }
   }
-  state.SetItemsProcessed(state.iterations() * kIters);
-  const double msgs = 2.0 * static_cast<double>(kIters) *
+  const double msgs = static_cast<double>(nodes) *
+                      static_cast<double>(kIters) *
                       static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(msgs / 2));
   state.counters["events_per_msg"] = static_cast<double>(events) / msgs;
   state.counters["pioman_passes_per_msg"] = static_cast<double>(passes) / msgs;
   state.counters["elided_ticks_per_msg"] = static_cast<double>(elided) / msgs;
+  state.counters["windows_per_msg"] = static_cast<double>(windows) / msgs;
 }
+
+void BM_IdlePolling(benchmark::State& state) { idle_polling(state, 2, 1, 1); }
 BENCHMARK(BM_IdlePolling)->Unit(benchmark::kMillisecond);
+
+// The same on 8 nodes in 4 partitions executed by 2 host workers: the
+// nodes idle between windows as well.
+void BM_IdlePollingPartitioned(benchmark::State& state) {
+  idle_polling(state, 8, 4, 2);
+}
+BENCHMARK(BM_IdlePollingPartitioned)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ParallelEngine(benchmark::State& state) {
   // Partitioned-engine throughput: an 8-node world (4 independent pingpong

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace pm2::sim {
 
@@ -59,6 +60,13 @@ EventHandle Engine::schedule_at(Time when, EventQueue::Callback cb,
   return p.queue.schedule(when, std::move(cb), tag);
 }
 
+EventHandle Engine::schedule_in_order(Time when, EventQueue::Callback cb,
+                                      EventTag tag, std::uint64_t order) {
+  Partition& p = part(active_partition());
+  assert(when >= p.now && "schedule_in_order in the past");
+  return p.queue.schedule_in_order(when, std::move(cb), tag, order);
+}
+
 EventHandle Engine::schedule_after(Time delay, EventQueue::Callback cb,
                                    EventTag tag) {
   assert(delay >= 0 && "negative delay");
@@ -91,6 +99,7 @@ bool Engine::cancel(EventHandle& h) {
 
 bool Engine::step_partition(Partition& p) {
   if (p.queue.empty()) return false;
+  if (!p.dormant.empty()) wake_for_head(p);
   auto [when, cb] = p.queue.pop();
   assert(when >= p.now && "event queue went backwards");
   p.now = when;
@@ -126,20 +135,108 @@ Time Engine::idle_horizon(std::int32_t owner) {
   return p.queue.next_time_bounding(owner, limit);
 }
 
+bool Engine::make_dormant(std::int32_t owner, Dormant& node) {
+  Partition& p = part(active_partition());
+  if (p.run_limit == kNoRunAhead || stopped()) return false;
+  Dormant*& slot = dormant_.at(static_cast<std::size_t>(owner));
+  assert(slot == nullptr && "node is already dormant");
+  slot = &node;
+  p.dormant.push_back(owner);
+  return true;
+}
+
+void Engine::wake_for_head(Partition& p) {
+  const EventQueue::Head h = p.queue.head();
+  if (h.owner == EventTag::kNoOwner) {
+    wake_all(active_partition(), h.when, h.order);
+  } else {
+    wake_owner(active_partition(), h.owner, h.when, h.order);
+  }
+}
+
+void Engine::wake_owner(int idx, std::int32_t owner, Time when,
+                        std::uint64_t order) {
+  Dormant* node =
+      std::exchange(dormant_[static_cast<std::size_t>(owner)], nullptr);
+  if (node == nullptr) return;
+  std::erase(part(idx).dormant, owner);
+  PartitionScope scope(*this, idx);
+  node->catch_up(when, order);
+  node->wake();
+}
+
+void Engine::wake_all(int idx, Time when, std::uint64_t order) {
+  // In dormancy order, which is deterministic for any worker count.
+  const auto& dormant = part(idx).dormant;
+  while (!dormant.empty()) wake_owner(idx, dormant.front(), when, order);
+}
+
+// The last window ran every event of the partition before window_end (or,
+// if it stopped early, before the head). Per tick, the ticks whose
+// predecessor pass ran there were armed before this drain, and the rest
+// after it: a cross event joins the heap here, so it ties after the former
+// and before the latter. The nodes it reaches wake with exactly the former
+// armed; the other dormant nodes catch up to the same point, and their next
+// passes count in T_min as their ticks would.
+void Engine::settle_dormant(int idx) {
+  Partition& d = part(idx);
+  d.dormant_next = kTimeInfinity;
+  if (d.dormant.empty()) return;
+  Time when = d.window_end;
+  std::uint64_t order = 0;
+  if (!d.queue.empty()) {
+    const EventQueue::Head h = d.queue.head();
+    if (h.when < when) {
+      when = h.when;
+      order = h.order;
+    }
+  }
+  for (const CrossEvent& e : d.inbox_scratch) {
+    if (e.tag.owner == EventTag::kNoOwner) {
+      wake_all(idx, when, order);
+      return;
+    }
+    wake_owner(idx, e.tag.owner, when, order);
+  }
+  PartitionScope scope(*this, idx);
+  for (const std::int32_t owner : d.dormant) {
+    d.dormant_next = std::min(
+        d.dormant_next,
+        dormant_[static_cast<std::size_t>(owner)]->catch_up(when, order));
+  }
+}
+
+void Engine::wake_after_run(Time deadline) {
+  for (int i = 0; i < num_partitions(); ++i) {
+    Partition& p = part(i);
+    p.dormant_next = kTimeInfinity;
+    wake_all(i, stopped() || deadline == kTimeInfinity ? p.now : deadline + 1,
+             0);
+  }
+}
+
 void Engine::run() {
   stopped_.store(false, std::memory_order_relaxed);
   if (num_partitions() == 1) {
     Partition& p = part(0);
     RunAheadScope run_ahead(p, kTimeInfinity);
-    while (!stopped() && step_partition(p)) {
+    for (;;) {
+      while (!stopped() && step_partition(p)) {
+      }
+      if (p.dormant.empty()) return;
+      // Only dormant nodes are left (or stop() was called): their ticks go
+      // back into the heap and run as events, as they would have without
+      // dormancy.
+      wake_all(0, p.now, 0);
+      if (stopped()) return;
     }
-    return;
   }
   if (workers_ > 1) {
     run_windows_parallel(kTimeInfinity);
   } else {
     run_windows(kTimeInfinity);
   }
+  wake_after_run(kTimeInfinity);
   if (!stopped()) {
     // Clean drain: join the clocks so now() reports the cluster-wide finish
     // time from every partition's point of view.
@@ -154,9 +251,14 @@ void Engine::run_until(Time deadline) {
   if (num_partitions() == 1) {
     Partition& p = part(0);
     RunAheadScope run_ahead(p, deadline);
-    while (!stopped() && p.queue.next_time() <= deadline &&
-           step_partition(p)) {
+    for (;;) {
+      while (!stopped() && p.queue.next_time() <= deadline &&
+             step_partition(p)) {
+      }
+      if (stopped() || deadline != kTimeInfinity || p.dormant.empty()) break;
+      wake_all(0, p.now, 0);  // would drain: see run()
     }
+    wake_after_run(deadline);
     if (!stopped() && p.now < deadline) p.now = deadline;
     return;
   }
@@ -165,6 +267,7 @@ void Engine::run_until(Time deadline) {
   } else {
     run_windows(deadline);
   }
+  wake_after_run(deadline);
   if (!stopped()) {
     for (auto& p : parts_) {
       if (p->now < deadline) p->now = deadline;
@@ -232,6 +335,7 @@ void Engine::drain_mailboxes_for(int dst) {
               if (a.src != b.src) return a.src < b.src;
               return a.seq < b.seq;
             });
+  settle_dormant(dst);
   for (auto& e : scratch) {
     assert(e.when >= d.now && "cross event arrived in the past");
     d.queue.schedule(e.when, std::move(e.cb), e.tag);
@@ -242,6 +346,7 @@ void Engine::drain_mailboxes_for(int dst) {
 void Engine::run_window(int idx, Time tmin, Time horizon, Time deadline) {
   Partition& p = part(idx);
   p.window_floor = tmin;
+  p.window_end = std::min(horizon - 1, deadline) + 1;
   p.window_abort = false;
   const int prev = tls_partition;
   tls_partition = idx;
@@ -265,7 +370,7 @@ void Engine::run_windows(Time deadline) {
     if (stopped()) break;
     Time tmin = kTimeInfinity;
     for (int p = 0; p < n; ++p) {
-      tmin = std::min(tmin, part(p).queue.next_time());
+      tmin = std::min(tmin, next_time(part(p)));
     }
     if (tmin == kTimeInfinity || tmin > deadline) break;
     const Time horizon = window_horizon(tmin);
@@ -292,7 +397,7 @@ void Engine::run_windows_parallel(Time deadline) {
       Time lm = kTimeInfinity;
       for (int p = id; p < n; p += w) {
         drain_mailboxes_for(p);
-        lm = std::min(lm, part(p).queue.next_time());
+        lm = std::min(lm, next_time(part(p)));
       }
       local_min[static_cast<std::size_t>(id)].t = lm;
       bar.arrive_and_wait();

@@ -31,6 +31,7 @@
 // its own tie-break sequence), so compare like with like.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -127,9 +128,19 @@ class Engine {
   void schedule_cross(int dst, Time when, EventQueue::Callback cb,
                       EventTag tag = {});
 
+  /// Schedule a callback at @p when in the calling context's partition in
+  /// the place of an event of that partition cancelled earlier: among
+  /// events of the same time it keeps that event's order (@p order, its
+  /// EventHandle::order()). Dormant nodes restore their idle ticks so.
+  EventHandle schedule_in_order(Time when, EventQueue::Callback cb,
+                                EventTag tag, std::uint64_t order);
+
   /// A fresh node id for EventTag::owner (one per simulated node; the
   /// machine model asks once at construction).
-  std::int32_t add_owner() { return next_owner_++; }
+  std::int32_t add_owner() {
+    dormant_.push_back(nullptr);
+    return next_owner_++;
+  }
 
   /// Cancel a pending event. Safe on fired/cancelled handles. (Cross-
   /// partition events are not cancellable -- they have no handle.)
@@ -185,7 +196,11 @@ class Engine {
   /// run_until()/window (step() never fast-forwards), after stop(), or once
   /// the window was aborted. The caller bounds the result further by the
   /// minimum node-to-node latency: within it, nothing another node does can
-  /// reach @p owner.
+  /// reach @p owner. This bounds a node with a thread running or runnable;
+  /// a node with every core idle goes dormant instead (make_dormant) and
+  /// replays up to its next event, which may lie windows ahead: a tick is
+  /// armed less than that latency before it is due, so after any delivery
+  /// due at that time was sent, and catch-up keeps that order.
   Time idle_horizon(std::int32_t owner);
 
   /// Record @p n idle-poll passes replayed without an event (all
@@ -193,6 +208,36 @@ class Engine {
   void note_elided_ticks(std::uint64_t n) {
     part(active_partition()).elided_ticks += n;
   }
+
+  /// A node that keeps none of its idle ticks in the heap (see
+  /// make_dormant).
+  class Dormant {
+   public:
+    /// Replay the node's idle passes that the engine would run before an
+    /// event at (@p when, @p order) -- strictly earlier in time, or at
+    /// @p when and earlier in schedule order. Returns the due time of the
+    /// node's next pass.
+    virtual Time catch_up(Time when, std::uint64_t order) = 0;
+    /// Schedule the passes still ahead as events again: the node is no
+    /// longer dormant.
+    virtual void wake() = 0;
+
+   protected:
+    ~Dormant() = default;
+  };
+
+  /// Make node @p owner dormant in the calling partition: it has cancelled
+  /// its idle ticks and only idle passes would run on it until its next
+  /// event. The engine catches it up (Dormant::catch_up, then wake) before
+  /// it runs an event owned by @p owner or an untagged one (which may reach
+  /// any node), before cross-partition events for it join the heap, and at
+  /// the end of a run (up to the run_until deadline, or when run() would
+  /// otherwise drain). Between windows it catches every dormant node up to
+  /// where the window stopped and counts its next pass in T_min, so the
+  /// windows are the ones its ticks would have made. Returns false (and
+  /// changes nothing) outside a run()/run_until()/window or after stop():
+  /// step() runs every tick as an event.
+  bool make_dormant(std::int32_t owner, Dormant& node);
 
   // --- introspection --------------------------------------------------------
 
@@ -257,11 +302,15 @@ class Engine {
     std::uint64_t cross_sent = 0;
     std::uint64_t overflows = 0;
     Time window_floor = 0;         ///< T_min of the window being executed
+    Time window_end = 0;           ///< first time the last window left alone
     bool window_abort = false;     ///< backpressure: end this window early
     Time run_limit = kNoRunAhead;  ///< latest time try_advance may reach
     std::uint64_t run_aheads = 0;
     std::uint64_t elided_ticks = 0;
     std::vector<CrossEvent> inbox_scratch;  ///< drain-time merge buffer
+    std::vector<std::int32_t> dormant;      ///< owners made dormant here
+    /// Next pass of a dormant node, as of the last drain.
+    Time dormant_next = kTimeInfinity;
   };
 
   /// Arms run-ahead on one partition for the duration of a run.
@@ -291,6 +340,22 @@ class Engine {
 
   Time window_horizon(Time tmin) const;
   bool step_partition(Partition& p);
+  /// Catch up the dormant node(s) the head event of @p p may reach.
+  void wake_for_head(Partition& p);
+  /// Catch up and wake node @p owner of partition @p idx, if dormant.
+  void wake_owner(int idx, std::int32_t owner, Time when, std::uint64_t order);
+  /// Catch up and wake every dormant node of partition @p idx.
+  void wake_all(int idx, Time when, std::uint64_t order);
+  /// Between windows, before partition @p idx's drained cross events
+  /// (inbox_scratch) join its heap: see make_dormant.
+  void settle_dormant(int idx);
+  /// End of a run: catch every dormant node up to the run_until
+  /// @p deadline (inclusive), or to its partition's clock after stop().
+  void wake_after_run(Time deadline);
+  /// Partition @p p's next event or dormant pass, as of the last drain.
+  static Time next_time(Partition& p) {
+    return std::min(p.queue.next_time(), p.dormant_next);
+  }
   void drain_mailboxes_for(int dst);
   /// Execute partition @p idx's share of the window [tmin, horizon).
   void run_window(int idx, Time tmin, Time horizon, Time deadline);
@@ -302,6 +367,9 @@ class Engine {
   /// executing thread during a window, drained only by dst's thread after
   /// the barrier -- the barrier is the hand-off, so no locks are needed.
   std::vector<std::vector<CrossEvent>> mail_;
+  /// Per owner: the node while it is dormant, else nullptr. An owner's
+  /// entry is only touched by the thread running its partition.
+  std::vector<Dormant*> dormant_;
   Time lookahead_ = 0;
   int workers_ = 1;
   std::size_t mailbox_cap_ = 4096;

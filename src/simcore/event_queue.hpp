@@ -111,25 +111,17 @@ class EventQueue {
 
   /// Schedule @p cb to fire at absolute time @p when, owned by @p tag.
   EventHandle schedule(Time when, Callback cb, EventTag tag = {}) {
-    const std::uint32_t s = acquire_slot();
     assert(seq_ < (std::uint64_t{1} << (64 - kSlotBits)) && "sequence overflow");
-    const std::uint64_t key = (seq_++ << kSlotBits) | s;
-    Slot& sl = slot(s);
-    sl.cb = std::move(cb);
-    sl.key = key;
-    sl.tag = tag_code(tag);
-    const HeapEntry e{when, key};
-    note_scheduled(sl.tag, e);
-    // Keys grow monotonically, so "e after lane back" reduces to a time
-    // comparison: nondecreasing streams ride the O(1) lane.
-    if (lane_empty() || when >= lane_.back().when) {
-      if (lane_empty()) lane_trim();
-      lane_.push_back(e);
-    } else {
-      heap_push(e);
-    }
-    ++live_;
-    return EventHandle(this, key);
+    return insert(when, std::move(cb), tag, seq_++ << kSlotBits);
+  }
+
+  /// Schedule @p cb at @p when in the place of an event of this queue that
+  /// was cancelled: among events of the same time it fires in that event's
+  /// schedule order, @p order (its EventHandle::order()).
+  EventHandle schedule_in_order(Time when, Callback cb, EventTag tag,
+                                std::uint64_t order) {
+    assert((order >> kSlotBits) < seq_ && "order of an event never scheduled");
+    return insert(when, std::move(cb), tag, order & ~kSlotMask);
   }
 
   /// Cancel a previously scheduled event. No-op if already fired/cancelled.
@@ -169,6 +161,21 @@ class EventQueue {
   /// list of the owner's non-idle entries.
   Time next_time_bounding(std::int32_t owner, Time limit);
 
+  /// The earliest live event: its time, schedule order and owner
+  /// (EventTag::kNoOwner if untagged). Pre: !empty().
+  struct Head {
+    Time when;
+    std::uint64_t order;
+    std::int32_t owner;
+  };
+  Head head() {
+    drop_dead();
+    assert(live_ > 0 && "head() on empty EventQueue");
+    const HeapEntry& e = lane_first() ? lane_[lane_head_] : heap_[0];
+    const std::int32_t code = slot(slot_of(e.key)).tag;
+    return {e.when, e.key, code == kUntaggedCode ? EventTag::kNoOwner : code >> 1};
+  }
+
   /// Pop the earliest live event. Pre: !empty().
   /// Returns its (time, callback); the callback is not invoked here so the
   /// engine can advance the clock first.
@@ -176,9 +183,7 @@ class EventQueue {
     drop_dead();
     assert(live_ > 0 && "pop() on empty EventQueue");
     HeapEntry e;
-    const bool from_lane =
-        !lane_empty() && (heap_.empty() || later(heap_[0], lane_[lane_head_]));
-    if (from_lane) {
+    if (lane_first()) {
       e = lane_[lane_head_++];
       if (lane_empty()) lane_trim();
     } else {
@@ -308,6 +313,33 @@ class EventQueue {
   }
 
   bool lane_empty() const { return lane_head_ == lane_.size(); }
+  /// True if the earliest live entry is the lane's front (after drop_dead).
+  bool lane_first() const {
+    return !lane_empty() && (heap_.empty() || later(heap_[0], lane_[lane_head_]));
+  }
+
+  EventHandle insert(Time when, Callback cb, EventTag tag,
+                     std::uint64_t seq_bits) {
+    const std::uint32_t s = acquire_slot();
+    const std::uint64_t key = seq_bits | s;
+    Slot& sl = slot(s);
+    sl.cb = std::move(cb);
+    sl.key = key;
+    sl.tag = tag_code(tag);
+    const HeapEntry e{when, key};
+    note_scheduled(sl.tag, e);
+    // The lane stays sorted by key: an entry joins its back only if it
+    // fires after it. Fresh keys grow monotonically, so for them this is a
+    // time comparison and nondecreasing streams ride the O(1) lane.
+    if (lane_empty() || later(e, lane_.back())) {
+      if (lane_empty()) lane_trim();
+      lane_.push_back(e);
+    } else {
+      heap_push(e);
+    }
+    ++live_;
+    return EventHandle(this, key);
+  }
 
   /// Reclaim the lane's processed prefix / reset an emptied lane.
   void lane_trim() {

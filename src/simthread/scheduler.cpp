@@ -637,33 +637,48 @@ bool Scheduler::fast_forward_on() const {
 
 // Idle fast-forward. The pass that just ran on `core` at t proved this node
 // dry: until something other than an idle pass runs here, every idle pass
-// of every core is the same pass, so it is replayed from the journal in a
-// tight loop instead of as one engine event each. Passes are replayed in
-// the order the engine would have run them: by time, then by arm order
-// (pending ticks by their event order, then the ticks this loop re-arms,
-// in the order it re-arms them). Replay stops strictly before
+// of every core is the same pass, so it is replayed from the journal
+// instead of run as one engine event each. Passes are replayed in the order
+// the engine would have run them: by time, then by arm order (ticks armed
+// before the replay by their event order, then the ticks it re-arms, in the
+// order it re-arms them).
+//
+// The tie argument: a tick is armed less than L (the minimum node-to-node
+// latency) before it is due, so a delivery due at the same instant, sent at
+// least L earlier by another node, was scheduled first and runs first.
+// Replay keeps that order as long as every tick it hands back to the engine
+// is armed less than L before it is due as well.
+//
+// If every core of the node is idle (no thread running or runnable), the
+// node goes dormant (Engine::make_dormant): its pending ticks are
+// cancelled and kept here. The engine calls catch_up() and wake() before
+// the next event that may reach the node runs, before a cross-partition
+// event for it joins the heap, and at the end of the run; catch_up() alone
+// between windows, to count the node's next pass in T_min. catch_up
+// replays the passes before the waking point and wake re-arms what is
+// left -- one tick per core, each due less than a pass after that point,
+// so armed less than L before it is due. Ticks armed before the node went
+// dormant keep their schedule order.
+//
+// Otherwise a thread runs on the node and its next event is in the heap:
+// replay stops strictly before
 //  * H, the node's next pending non-idle event or the run/window limit
 //    (Engine::idle_horizon) -- only idle passes run here before it;
-//  * t + L, L the minimum node-to-node latency -- nothing another node
-//    does from t on reaches this node earlier;
-// and at the first tick whose successor would be due at or after t + L.
-// So every tick armed here as a real event is due before t + L, where no
-// event scheduled later can tie with it, and every tick of the same time
-// keeps its order. Returns false (the caller arms `next` as usual) if no
-// pass could be replayed.
+//  * t + L -- nothing another node does from t on reaches this node
+//    earlier;
+// and at the first tick whose successor would be due at or after t + L,
+// so every tick re-armed now is due before t + L. Ticks it does not reach
+// stay pending as they are.
+//
+// Returns false (the caller arms `next` as usual) if nothing was deferred.
 bool Scheduler::fast_forward(int core, sim::Time next) {
   const sim::Time t = engine().now();
-  const sim::Time period = costs().idle_poll_period;
   // A tick whose successor can be due L or more later could tie with a
   // delivery sent at its own time; keep such configurations per tick.
-  if (std::max(journal_.max_price(machine_), period) >= ff_latency_) {
+  if (std::max(journal_.max_price(machine_), costs().idle_poll_period) >=
+      ff_latency_) {
     return false;
   }
-  const sim::Time reach = t + ff_latency_;
-  const sim::Time horizon =
-      std::min(engine().idle_horizon(machine_.event_owner()), reach);
-  if (horizon <= t) return false;
-
   auto& ticks = ff_ticks_;
   ticks.clear();
   for (const Core& k : cores_) {
@@ -671,40 +686,103 @@ bool Scheduler::fast_forward(int core, sim::Time next) {
       ticks.push_back(FfTick{k.idle_at, false, k.idle_event.order(), k.id});
     }
   }
-  std::uint64_t rearms = 0;
-  ticks.push_back(FfTick{next, true, rearms++, core});
+  ff_rearms_ = 0;
+  ticks.push_back(FfTick{next, true, ff_rearms_++, core});
+
+  if (quiet() && engine().make_dormant(machine_.event_owner(), *this)) {
+    for (Core& k : cores_) engine().cancel(k.idle_event);
+    return true;
+  }
+  const sim::Time reach = t + ff_latency_;
+  const sim::Time horizon =
+      std::min(engine().idle_horizon(machine_.event_owner()), reach);
+  if (horizon <= t || replay_ticks(horizon, 0, reach) == 0) return false;
+  arm_ticks(/*restore_pending=*/false);
+  return true;
+}
+
+sim::Time Scheduler::catch_up(sim::Time when, std::uint64_t order) {
+  replay_ticks(when, order, sim::kTimeInfinity);
+  sim::Time next = sim::kTimeInfinity;
+  for (const FfTick& k : ff_ticks_) next = std::min(next, k.at);
+  return next;
+}
+
+void Scheduler::wake() { arm_ticks(/*restore_pending=*/true); }
+
+bool Scheduler::quiet() const {
+  return std::all_of(cores_.begin(), cores_.end(), [](const Core& c) {
+    return c.current == nullptr && c.runqueue.empty();
+  });
+}
+
+// The replay loop: replays passes of ff_ticks_ in engine order while they
+// run before an event at (bound, bound_order) -- earlier, or at the same
+// time and armed before it (re-armed ticks never are) -- and their
+// successor is due before `reach`. Returns the number of passes replayed.
+std::uint64_t Scheduler::replay_ticks(sim::Time bound,
+                                      std::uint64_t bound_order,
+                                      sim::Time reach) {
+  const sim::Time period = costs().idle_poll_period;
   auto before = [](const FfTick& a, const FfTick& b) {
     if (a.at != b.at) return a.at < b.at;
     if (a.rearmed != b.rearmed) return b.rearmed;
     return a.order < b.order;
   };
-
+  auto& ticks = ff_ticks_;
   std::uint64_t replayed = 0;
   for (;;) {
-    FfTick& k = *std::min_element(ticks.begin(), ticks.end(), before);
-    if (k.at >= horizon) break;
-    Core& kc = cores_[static_cast<std::size_t>(k.core)];
-    const sim::Time price = journal_.price(machine_, k.core);
-    const sim::Time succ = k.at + std::max(price, period);
-    if (succ >= reach) break;
-    const sim::Time consumed = journal_.replay(machine_, k.core, k.at);
-    assert(consumed == price);
+    FfTick* k = &ticks[0];
+    for (FfTick& o : ticks) {
+      if (before(o, *k)) k = &o;
+    }
+    if (k->at > bound ||
+        (k->at == bound && (k->rearmed || k->order >= bound_order))) {
+      break;
+    }
+    // The price only bounds the successor ahead of the replay when there
+    // is a reach to keep.
+    if (reach != sim::kTimeInfinity &&
+        k->at + std::max(journal_.price(machine_, k->core), period) >=
+            reach) {
+      break;
+    }
+    Core& kc = cores_[static_cast<std::size_t>(k->core)];
+    const sim::Time consumed = journal_.replay(machine_, k->core, k->at);
     kc.m_idle_hook_runs.inc();
     kc.hook_time += consumed;
     kc.hooks_since_dispatch = true;
-    if (!k.rearmed) engine().cancel(kc.idle_event);
-    k = FfTick{succ, true, rearms++, k.core};
+    if (!k->rearmed) engine().cancel(kc.idle_event);
+    *k = FfTick{k->at + std::max(consumed, period), true, ff_rearms_++,
+                k->core};
     ++replayed;
   }
-  if (replayed == 0) return false;
-  engine().note_elided_ticks(replayed);
-  // Arm the re-armed ticks as real events, in arm order.
-  std::sort(ticks.begin(), ticks.end(),
-            [](const FfTick& a, const FfTick& b) { return a.order < b.order; });
+  if (replayed > 0) engine().note_elided_ticks(replayed);
+  return replayed;
+}
+
+// Hands the ticks replay stopped at back to the engine: re-armed ones as
+// new events, in arm order; ticks armed before the replay stay pending, or
+// with @p restore_pending (they were cancelled when the node went dormant)
+// are scheduled again in their original order.
+void Scheduler::arm_ticks(bool restore_pending) {
+  auto& ticks = ff_ticks_;
+  std::sort(ticks.begin(), ticks.end(), [](const FfTick& a, const FfTick& b) {
+    if (a.rearmed != b.rearmed) return b.rearmed;
+    return a.order < b.order;
+  });
   for (const FfTick& k : ticks) {
-    if (k.rearmed) arm_idle(cores_[static_cast<std::size_t>(k.core)], k.at);
+    Core& kc = cores_[static_cast<std::size_t>(k.core)];
+    if (k.rearmed) {
+      arm_idle(kc, k.at);
+    } else if (restore_pending) {
+      const int core = k.core;
+      kc.idle_at = k.at;
+      kc.idle_event = engine().schedule_in_order(
+          k.at, [this, core] { idle_tick(core); },
+          sim::EventTag::idle(machine_.event_owner()), k.order);
+    }
   }
-  return true;
 }
 
 // --- stats ---------------------------------------------------------------------

@@ -51,7 +51,7 @@ struct Hook {
   std::function<bool(int core)> want;  ///< may be null => "never pending"
 };
 
-class Scheduler {
+class Scheduler final : private sim::Engine::Dormant {
  public:
   explicit Scheduler(mach::Machine& machine);
   ~Scheduler();
@@ -193,6 +193,12 @@ class Scheduler {
   void idle_tick(int core);
   bool fast_forward_on() const;
   bool fast_forward(int core, sim::Time next);
+  bool quiet() const;
+  std::uint64_t replay_ticks(sim::Time bound, std::uint64_t bound_order,
+                             sim::Time reach);
+  void arm_ticks(bool restore_pending);
+  sim::Time catch_up(sim::Time when, std::uint64_t order) override;
+  void wake() override;
   void run_timer_tick_inline(Thread* t);
   sim::Time run_hooks(std::vector<std::pair<int, Hook>>& hooks, int core,
                       DryJournal* journal = nullptr);
@@ -218,16 +224,18 @@ class Scheduler {
   sim::ChromeTrace* timeline_ = nullptr;
   int timeline_pid_ = 0;
   /// Idle fast-forward: minimum node-to-node latency (0 = off), the
-  /// journal of the current idle pass, and the replay loop's tick set.
+  /// journal of the current idle pass, and the replay loop's tick set --
+  /// while the node is dormant, all that is left of its idle ticks.
   sim::Time ff_latency_ = 0;
   DryJournal journal_;
   struct FfTick {
     sim::Time at;
-    bool rearmed;         ///< re-armed by this fast-forward (else pending)
+    bool rearmed;         ///< re-armed by the replay (else armed before it)
     std::uint64_t order;  ///< tie order among ticks of the same kind
     int core;
   };
   std::vector<FfTick> ff_ticks_;
+  std::uint64_t ff_rearms_ = 0;  ///< next FfTick::order of a re-armed tick
   // Interned-id caches for the per-slice span emission (hot path): filled
   // in set_timeline so steady-state spans never touch the string table.
   std::uint16_t tl_cat_thread_ = 0;

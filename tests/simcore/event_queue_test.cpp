@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 namespace pm2::sim {
@@ -36,6 +37,30 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   }
   while (!q.empty()) q.pop().second();
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(EventQueue, ScheduleInOrderTakesTheCancelledEventsPlace) {
+  // Three events at one time; the first is cancelled and put back with its
+  // order after a later one was scheduled: it still fires first, and
+  // head() reports it with that order.
+  EventQueue q;
+  std::vector<int> order;
+  auto first = q.schedule(42, [&] { order.push_back(0); }, EventTag::idle(3));
+  q.schedule(42, [&] { order.push_back(1); });
+  q.schedule(42, [&] { order.push_back(2); }, EventTag::node(3));
+  const std::uint64_t place = first.order();
+  ASSERT_TRUE(q.cancel(first));
+  q.schedule(7, [&] { order.push_back(-1); });
+  auto back = q.schedule_in_order(
+      42, [&] { order.push_back(0); }, EventTag::idle(3), place);
+  EXPECT_TRUE(back.pending());
+  q.pop().second();
+  const EventQueue::Head h = q.head();
+  EXPECT_EQ(h.when, 42);
+  EXPECT_EQ(h.order, back.order());
+  EXPECT_EQ(h.owner, 3);
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
 }
 
 TEST(EventQueue, NextTimeReportsEarliestLive) {
