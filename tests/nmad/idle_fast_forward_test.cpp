@@ -322,21 +322,16 @@ TEST(IdleFastForward, PartitionedHybridMatchesPerTickRun) {
   // heap), so the 4-node world is compared at 2 partitions against the
   // per-tick path: the same run with the fast-forward off.
   Hybrid h;
-  const Outcome per_tick =
-      drive_world(hybrid_config(2, 1), Drive::kRun, [&h](Cluster& w) {
-        for (int n = 0; n < w.num_nodes(); ++n) {
-          w.sched(n).set_idle_fast_forward(0);
-        }
-        h.spawn(w);
-      });
-  EXPECT_EQ(per_tick.elided, 0u);
+  const Outcome ticked = drive_world(hybrid_config(2, 1), Drive::kRun,
+                                     per_tick([&h](Cluster& w) { h.spawn(w); }));
+  EXPECT_EQ(ticked.elided, 0u);
   for (const int workers : {1, 2}) {
     SCOPED_TRACE(testing::Message() << "workers=" << workers);
     const Outcome ran = hybrid(hybrid_config(2, workers), Drive::kRun);
     EXPECT_GT(ran.elided, 0u) << "no idle pass was fast-forwarded";
     EXPECT_EQ(ran.events + ran.run_aheads + ran.elided,
-              per_tick.events + per_tick.run_aheads);
-    expect_same(ran, per_tick);
+              ticked.events + ticked.run_aheads);
+    expect_same(ran, ticked);
   }
 }
 
@@ -458,12 +453,14 @@ TEST(IdleFastForward, WaiterThatNeverCompletesEndsAtTheCap) {
       w.core(1).recv(w.gate(1, 0), 77, &b, 1);
     }, "waiter", 3);
   };
-  const sim::Time cap = sim::microseconds(600);
-  auto until_cap = [cap](Cluster& w) { w.engine().run_until(cap); };
   for (const int partitions : {1, 2}) {
     SCOPED_TRACE(testing::Message() << "partitions=" << partitions);
     ClusterConfig cfg = pioman_config();
     cfg.partitions = partitions;
+    // Half the pingpong's length again after it.
+    const sim::Time end = drive_world(cfg, Drive::kRun, spawn_pingpong).end;
+    const sim::Time cap = end + end / 2;
+    auto until_cap = [cap](Cluster& w) { w.engine().run_until(cap); };
     const Outcome ticked = drive_world_with(cfg, per_tick(spawn), until_cap);
     const Outcome ran = drive_world_with(cfg, spawn, until_cap);
     EXPECT_EQ(ticked.end, cap);

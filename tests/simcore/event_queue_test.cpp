@@ -61,6 +61,19 @@ TEST(EventQueue, ScheduleInOrderTakesTheCancelledEventsPlace) {
   EXPECT_EQ(h.owner, 3);
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
+
+  // Put back at once, it reuses the freed slot and so the very key of the
+  // cancelled entry, which is still in the queue: it fires once.
+  int fired = 0;
+  auto next = q.schedule(50, [&] { ++fired; });
+  q.schedule(50, [] {});
+  const std::uint64_t at = next.order();
+  ASSERT_TRUE(q.cancel(next));
+  auto again = q.schedule_in_order(50, [&] { ++fired; }, EventTag{}, at);
+  EXPECT_EQ(again.order(), at);
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, NextTimeReportsEarliestLive) {
