@@ -382,9 +382,11 @@ TEST(IdleFastForward, WideHybridMatchesStepLoop) {
 
 TEST(IdleFastForward, DormantNodeAcrossWindowsMatchesPerTickRun) {
   // An 8-node ring at 4 partitions in which node 5 sits with every thread
-  // blocked for 300 us (some 200 windows) before it joins: its idle passes
-  // are replayed between windows and count in T_min, so the windows, and
-  // every tie a drain decides, are the per-tick run's.
+  // blocked for 300 us (some 200 windows) before it joins. Its neighbours'
+  // halo messages wake it now and then; its longest dormant stretch spans
+  // about 90 us, some 60 windows. Its idle passes are replayed between
+  // windows and count in T_min, so the windows, and every tie a drain
+  // decides, are the per-tick run's.
   auto spawn = [](Hybrid& h) {
     return [&h](Cluster& w) {
       h.late = 5;
